@@ -35,9 +35,9 @@ def main() -> None:
                 perm = list(range(c.n))
                 rng.shuffle(perm)
                 g = c.graph.relabel(perm)
-                t0 = time.time()
+                t0 = time.perf_counter()
                 verdict = distinguisher.distinguish(g)
-                times.append(time.time() - t0)
+                times.append(time.perf_counter() - t0)
                 ok = ok and (verdict.twisted == twisted)
             label = "twisted " if twisted else "original"
             print(f"{name:9s} {label} n={c.n:4d}  ok={ok}  "

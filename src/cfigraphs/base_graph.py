@@ -65,6 +65,11 @@ class BaseGraph:
         return tuple(frozenset(s) for s in adj)
 
     @cached_property
+    def sorted_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbors of each vertex in ascending order; the rank of a neighbor is its index."""
+        return tuple(tuple(sorted(a)) for a in self.adjacency)
+
+    @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
         """Adjacency rows as integer bitmasks; bit v of row u set iff uv is an edge."""
         rows = [0] * self.n

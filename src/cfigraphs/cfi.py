@@ -1,24 +1,31 @@
 """CFI graphs over a base graph: one gadget per base vertex, link pairs wired
 along base edges, with an optional per-edge twist.
 
-For a base vertex u of degree d, the gadget over u has link vertices a(u,v)
-and b(u,v) for each neighbor v, and one middle vertex per even subset of u's
-neighborhood.  For an untwisted base edge uv the cross edges are
-a(u,v)-a(v,u) and b(u,v)-b(v,u); twisting uv swaps them for the crossed pair
-a(u,v)-b(v,u) and b(u,v)-a(v,u).  The twist set records the edges twisted an
-odd number of times; only the parity of its size matters up to isomorphism.
+Layout.  The gadget over a base vertex u of degree d is the block
+``gadget.build_gadget(d)`` placed at offset ``offsets[u]``, the prefix sum of
+the block sizes 2d + 2^(d-1) of the base vertices before u.  Inside the block,
+a neighbor v of u has rank i in the ascending neighbor list of u; a(u,v) sits
+at offset + i and its twin b(u,v) at offset + d + i.  The middle vertex whose
+members are the neighbors at the set bits of an even mask sits at
+offset + 2d + (mask >> 1), and it is adjacent to a(u,v) for its members and
+to b(u,v) otherwise.
+
+For an untwisted base edge uv the cross edges are a(u,v)-a(v,u) and
+b(u,v)-b(v,u); twisting uv swaps them for the crossed pair a(u,v)-b(v,u) and
+b(u,v)-a(v,u).  The twist set records the edges twisted an odd number of
+times; only the parity of its size matters up to isomorphism.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .base_graph import BaseGraph, Edge, is_connected
-
-MAX_BASE_DEGREE = 20  # 2^(d-1) middle vertices per gadget
+from .gadget import Gadget, build_gadget, flip_perm, lift_permutation
 
 
 @dataclass(frozen=True, order=True)
@@ -43,15 +50,6 @@ class Middle:
 CfiVertex = Union[Link, Middle]
 
 
-def _vertex_key(base: BaseGraph, x: CfiVertex) -> tuple:
-    # gadget-major order: a-links by neighbor, then b-links, then middles by mask
-    if isinstance(x, Link):
-        return (x.u, 0, 0 if x.side == "a" else 1, x.v)
-    nbrs = sorted(base.adjacency[x.u])
-    mask = sum(1 << nbrs.index(v) for v in x.members)
-    return (x.u, 1, mask, -1)
-
-
 @dataclass(frozen=True)
 class Color:
     """Pair color: c1 identifies the twin pair (absent on middles), c2 the gadget."""
@@ -65,75 +63,74 @@ class CfiGraph:
     base: BaseGraph
     colored: bool
     twist: frozenset[Edge]
-    vertices: tuple[CfiVertex, ...] = field(compare=False, repr=False)
-    index: dict = field(compare=False, repr=False)
+    blocks: tuple[Gadget, ...] = field(compare=False, repr=False)  # one per base vertex
+    offsets: tuple[int, ...] = field(compare=False, repr=False)    # block starts, then n
     edges: tuple[Edge, ...] = field(compare=False, repr=False)
     colors: Optional[tuple[int, ...]] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self.offsets[-1]
 
     @cached_property
     def graph(self) -> BaseGraph:
         return BaseGraph(self.n, self.edges)
 
+    @cached_property
+    def vertices(self) -> tuple[CfiVertex, ...]:
+        out: list[CfiVertex] = []
+        for u, nbrs in enumerate(self.base.sorted_adjacency):
+            out += [Link(u, v, "a") for v in nbrs]
+            out += [Link(u, v, "b") for v in nbrs]
+            out += [Middle(u, tuple(v for i, v in enumerate(nbrs) if (mask >> i) & 1))
+                    for mask in self.blocks[u].middles]
+        return tuple(out)
+
     def names(self) -> list[str]:
         return [x.name() for x in self.vertices]
 
-    def gadget_vertices(self, u: int) -> list[int]:
-        return [i for i, x in enumerate(self.vertices) if x.u == u]
+    def gadget_vertices(self, u: int) -> range:
+        return range(self.offsets[u], self.offsets[u + 1])
 
     def link_index(self, u: int, v: int, side: str) -> int:
-        return self.index[Link(u, v, side)]
+        nbrs = self.base.sorted_adjacency[u]
+        return self.offsets[u] + nbrs.index(v) + ("a", "b").index(side) * len(nbrs)
 
     def middle_index(self, u: int, members: Iterable[int]) -> int:
-        return self.index[Middle(u, tuple(sorted(members)))]
+        return self.offsets[u] + self.blocks[u].middle_vertex(self._mask(u, members))
 
-
-def _color_int(base: BaseGraph, x: CfiVertex) -> int:
-    # color (l, i) with l the 1-based gadget id and i in 1..dmax+1, folded to
-    # (l-1)*(dmax+1)+i; i == dmax+1 marks middles, otherwise the neighbor rank
-    dmax = base.max_degree()
-    if isinstance(x, Link):
-        i = sorted(base.adjacency[x.u]).index(x.v) + 1
-    else:
-        i = dmax + 1
-    return x.u * (dmax + 1) + i
+    def _mask(self, u: int, members: Iterable[int]) -> int:
+        nbrs = self.base.sorted_adjacency[u]
+        return sum(1 << nbrs.index(v) for v in set(members))
 
 
 def _build(base: BaseGraph, colored: bool, twist: frozenset[Edge]) -> CfiGraph:
-    vertices: list[CfiVertex] = []
-    for u in range(base.n):
-        nbrs = sorted(base.adjacency[u])
-        for v in nbrs:
-            vertices.append(Link(u, v, "a"))
-        for v in nbrs:
-            vertices.append(Link(u, v, "b"))
-        for mask in range(1 << len(nbrs)):
-            if bin(mask).count("1") % 2 == 0:
-                members = tuple(nbrs[i] for i in range(len(nbrs)) if (mask >> i) & 1)
-                vertices.append(Middle(u, members))
-    vertices.sort(key=lambda x: _vertex_key(base, x))
-    index = {x: i for i, x in enumerate(vertices)}
+    nbrs = base.sorted_adjacency
+    # largest degree first, so build_gadget's degree cap fires before any block exists
+    by_degree = {d: build_gadget(d) for d in sorted({len(a) for a in nbrs}, reverse=True)}
+    blocks = tuple(by_degree[len(a)] for a in nbrs)
+    offsets = [0]
+    for block in blocks:
+        offsets.append(offsets[-1] + block.graph.n)
 
-    edges: set[Edge] = set()
-    for x, i in index.items():
-        if isinstance(x, Middle):
-            for v in base.adjacency[x.u]:
-                side = "a" if v in x.members else "b"
-                j = index[Link(x.u, v, side)]
-                edges.add((min(i, j), max(i, j)))
+    edges: list[Edge] = []
+    for off, block in zip(offsets, blocks):
+        edges += [(off + x, off + y) for x, y in block.graph.edges]
     for u, v in base.edges:
-        crossed = (u, v) in twist
-        for side_u in "ab":
-            side_v = side_u if not crossed else ("b" if side_u == "a" else "a")
-            i = index[Link(u, v, side_u)]
-            j = index[Link(v, u, side_v)]
-            edges.add((min(i, j), max(i, j)))
+        au = offsets[u] + nbrs[u].index(v)
+        av = offsets[v] + nbrs[v].index(u)
+        bu, bv = au + len(nbrs[u]), av + len(nbrs[v])
+        edges += [(au, bv), (bu, av)] if (u, v) in twist else [(au, av), (bu, bv)]
 
-    colors = tuple(_color_int(base, x) for x in vertices) if colored else None
-    return CfiGraph(base, colored, twist, tuple(vertices), index, tuple(sorted(edges)), colors)
+    colors = None
+    if colored:
+        # color (l, i) with l the 1-based gadget id and i in 1..dmax+1, folded to
+        # (l-1)*(dmax+1)+i; i == dmax+1 marks middles, otherwise the neighbor rank
+        dmax = max(by_degree)
+        within = {d: [i + 1 if i < d else dmax + 1 for i in block.colors()]
+                  for d, block in by_degree.items()}
+        colors = tuple(u * (dmax + 1) + i for u, block in enumerate(blocks) for i in within[block.d])
+    return CfiGraph(base, colored, twist, blocks, tuple(offsets), tuple(sorted(edges)), colors)
 
 
 def build_cfi(base: BaseGraph, colored: bool = False) -> CfiGraph:
@@ -142,8 +139,6 @@ def build_cfi(base: BaseGraph, colored: bool = False) -> CfiGraph:
         raise ValueError("base graph needs at least two vertices")
     if not is_connected(base):
         raise ValueError("base graph must be connected")
-    if base.max_degree() > MAX_BASE_DEGREE:
-        raise ValueError(f"base degree capped at {MAX_BASE_DEGREE}")
     return _build(base, colored, frozenset())
 
 
@@ -174,11 +169,11 @@ def twist_parity(c: CfiGraph) -> str:
 def color_of(c: CfiGraph, x: int) -> Color:
     if not c.colored:
         raise ValueError("graph is uncolored")
-    vert = c.vertices[x]
-    if isinstance(vert, Link):
-        i = sorted(c.base.adjacency[vert.u]).index(vert.v) + 1
-        return Color((vert.u, i), vert.u)
-    return Color(None, vert.u)
+    if not 0 <= x < c.n:
+        raise ValueError(f"vertex {x} out of range")
+    u = bisect_right(c.offsets, x) - 1
+    i, d = x - c.offsets[u], c.blocks[u].d
+    return Color((u, i % d + 1), u) if i < 2 * d else Color(None, u)
 
 
 def expected_vertex_count(base: BaseGraph) -> int:
@@ -216,14 +211,8 @@ def gadget_flip_map(c: CfiGraph, flips: dict[int, frozenset[int]]) -> tuple[int,
             raise ValueError(f"flip at {u} has odd size")
         if not subset <= c.base.adjacency[u]:
             raise ValueError(f"flip at {u} is not a neighbor subset")
-        for v in subset:
-            ia = c.link_index(u, v, "a")
-            ib = c.link_index(u, v, "b")
-            out[ia], out[ib] = ib, ia
-        for i in c.gadget_vertices(u):
-            x = c.vertices[i]
-            if isinstance(x, Middle):
-                out[i] = c.middle_index(u, frozenset(x.members) ^ subset)
+        off = c.offsets[u]
+        out[off:c.offsets[u + 1]] = [off + x for x in flip_perm(c.blocks[u], c._mask(u, subset))]
     return tuple(out)
 
 
@@ -232,12 +221,12 @@ def lift_base_automorphism(c: CfiGraph, sigma: Sequence[int]) -> tuple[int, ...]
     and middles by renaming members."""
     if c.base.relabel(sigma).edges != c.base.edges:
         raise ValueError("sigma is not an automorphism of the base graph")
-    out = [0] * c.n
-    for i, x in enumerate(c.vertices):
-        if isinstance(x, Link):
-            out[i] = c.index[Link(sigma[x.u], sigma[x.v], x.side)]
-        else:
-            out[i] = c.index[Middle(sigma[x.u], tuple(sorted(sigma[v] for v in x.members)))]
+    nbrs = c.base.sorted_adjacency
+    out: list[int] = []
+    for u, block in enumerate(c.blocks):
+        su = sigma[u]
+        pi = tuple(nbrs[su].index(sigma[v]) for v in nbrs[u])
+        out += [c.offsets[su] + x for x in lift_permutation(block, pi)]
     return tuple(out)
 
 
@@ -245,7 +234,7 @@ def random_even_flips(c: CfiGraph, rng: random.Random) -> dict[int, frozenset[in
     """One random even neighbor subset per gadget."""
     flips = {}
     for u in range(c.base.n):
-        nbrs = sorted(c.base.adjacency[u])
+        nbrs = c.base.sorted_adjacency[u]
         subset = [v for v in nbrs if rng.random() < 0.5]
         if len(subset) % 2 != 0:
             subset.pop(rng.randrange(len(subset)))

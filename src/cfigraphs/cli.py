@@ -137,29 +137,12 @@ def _cmd_focheck(args) -> int:
     verts = _parse_names(meta["names"])
     if len(verts) != g.n:
         raise GraphFormatError("names array does not cover the graph")
-    table = fo_eval.build_predicate_table(g)
-    is_link = [isinstance(x, cfi.Link) for x in verts]
-    counts = {"link": 0, "gadget": 0, "twin": 0, "same_color": 0}
-    for x in range(g.n):
-        counts["link"] += is_link[x] == table.link_pred(x)
-        for y in range(g.n):
-            same_gadget = verts[x].u == verts[y].u
-            twin = (
-                is_link[x] and is_link[y] and same_gadget
-                and verts[x].v == verts[y].v and verts[x].side != verts[y].side
-            )
-            same_color = x == y or twin or (same_gadget and not is_link[x] and not is_link[y])
-            counts["gadget"] += table.gadget_pred(x, y) == (same_gadget or x == y)
-            counts["twin"] += table.twin_pred(x, y) == twin
-            counts["same_color"] += table.same_color_pred(x, y) == same_color
-    totals = {"link": g.n, "gadget": g.n * g.n, "twin": g.n * g.n, "same_color": g.n * g.n}
+    counts = fo_eval.predicate_agreement(verts, fo_eval.build_predicate_table(g))
     report = {
         "n": g.n,
         "base_min_degree": base.min_degree(),
-        "predicates": {
-            key: {"agree": counts[key], "total": totals[key]} for key in counts
-        },
-        "all_agree": all(counts[key] == totals[key] for key in counts),
+        "predicates": counts,
+        "all_agree": all(c["agree"] == c["total"] for c in counts.values()),
     }
     _emit(report)
     return 0 if report["all_agree"] else 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_graph import BaseGraph, classify_linear
+from .base_graph import BaseGraph, classify_linear, cycle, is_connected, path
 from .errors import StructureError
 
 
@@ -38,26 +38,28 @@ def short_cycles(g: BaseGraph, max_len: int = 8) -> list[tuple[int, ...]]:
     Canonical form: starts at its least vertex, and the second vertex is
     smaller than the last.
     """
-    adj = [sorted(g.adjacency[v]) for v in range(g.n)]
+    adj = g.sorted_adjacency
     cycles = []
     on_path = [False] * g.n
-    path: list[int] = []
+    # not named `path`, the imported base graph family: CPython 3.11 compiles
+    # method calls on a name imported at module level as slow attribute loads
+    trail: list[int] = []
 
     def extend(s: int, v: int) -> None:
-        if len(path) >= 3 and g.has_edge(v, s) and path[1] < path[-1]:
-            cycles.append(tuple(path))
-        if len(path) == max_len:
+        if len(trail) >= 3 and g.has_edge(v, s) and trail[1] < trail[-1]:
+            cycles.append(tuple(trail))
+        if len(trail) == max_len:
             return
         for w in adj[v]:
             if w > s and not on_path[w]:
-                path.append(w)
+                trail.append(w)
                 on_path[w] = True
                 extend(s, w)
                 on_path[w] = False
-                path.pop()
+                trail.pop()
 
     for s in range(g.n):
-        path = [s]
+        trail = [s]
         on_path[s] = True
         extend(s, s)
         on_path[s] = False
@@ -251,6 +253,8 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         if len(gad.pairs) != gad.degree:
             raise StructureError("pair count disagrees with gadget degree")
     base = BaseGraph.from_edges(len(gadgets), base_edges)
+    if not is_connected(base):
+        raise StructureError("recovered base graph is not connected")
     for gid, gad in enumerate(gadgets):
         if base.degree(gid) != gad.degree:
             raise StructureError("recovered base degree disagrees with gadget degree")
@@ -314,28 +318,18 @@ def _distinguish_linear(g: BaseGraph) -> Verdict:
     if kinds == ["path", "path"]:
         a, b = shapes[0].length, shapes[1].length
         if b == a + 2 and a % 3 == 1:
-            return Verdict(False, _path_base((a - 1) // 3 + 1))
+            return Verdict(False, path((a - 1) // 3 + 1))
         if a == b and a % 3 == 2:
-            return Verdict(True, _path_base((a - 2) // 3 + 1))
+            return Verdict(True, path((a - 2) // 3 + 1))
     elif kinds == ["cycle", "cycle"]:
         a, b = shapes[0].length, shapes[1].length
         if a == b and a % 3 == 0 and a // 3 >= 3:
-            return Verdict(False, _cycle_base(a // 3))
+            return Verdict(False, cycle(a // 3))
     elif kinds == ["cycle"]:
         a = shapes[0].length
         if a % 6 == 0 and a // 6 >= 3:
-            return Verdict(True, _cycle_base(a // 6))
+            return Verdict(True, cycle(a // 6))
     raise StructureError(f"component shapes {shapes} match no CFI graph of base degree <= 2")
-
-
-def _path_base(k: int) -> BaseGraph:
-    from .base_graph import path
-    return path(k)
-
-
-def _cycle_base(k: int) -> BaseGraph:
-    from .base_graph import cycle
-    return cycle(k)
 
 
 def distinguish(g: BaseGraph) -> Verdict:

@@ -17,9 +17,10 @@ defining formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .base_graph import BaseGraph
-from .cfi import build_cfi, build_tilde
+from .cfi import CfiVertex, Link, build_cfi, build_tilde
 from .distinguisher import short_cycle_pair_rows
 
 
@@ -116,22 +117,21 @@ def same_color_class_count(base: BaseGraph) -> tuple[int, int]:
     return len(classes), expected
 
 
-def predicate_agreement(cfi_graph, table: PredicateTable) -> dict:
-    """Agreement counts of each predicate table against construction metadata."""
-    from .cfi import Link
-
-    n = cfi_graph.n
-    truth_link = [isinstance(x, Link) for x in cfi_graph.vertices]
-    truth_gadget = [x.u for x in cfi_graph.vertices]
+def predicate_agreement(vertices: Sequence[CfiVertex], table: PredicateTable) -> dict:
+    """Agreement counts of each predicate table against the construction's
+    vertex metadata, given in vertex order."""
+    n = len(vertices)
+    truth_link = [isinstance(x, Link) for x in vertices]
+    truth_gadget = [x.u for x in vertices]
     counts = {}
     agree = sum(truth_link[x] == table.link_pred(x) for x in range(n))
     counts["link"] = {"agree": agree, "total": n}
     counts["middle"] = {"agree": agree, "total": n}
     g_agree = t_agree = s_agree = 0
     for x in range(n):
-        vx = cfi_graph.vertices[x]
+        vx = vertices[x]
         for y in range(n):
-            vy = cfi_graph.vertices[y]
+            vy = vertices[y]
             same_gadget = truth_gadget[x] == truth_gadget[y]
             g_agree += table.gadget_pred(x, y) == same_gadget
             is_twin = (

@@ -4,7 +4,7 @@ even subset of the first link row, and the automorphisms that act on them.
 Vertex indexing inside a gadget of degree d:
   a_i -> i            for i in 0..d-1   (first link row)
   b_i -> d + i        (twin of a_i)
-  middle(mask) -> 2d + rank(mask)       (even-popcount masks, ascending)
+  middle(mask) -> 2d + (mask >> 1)      (rank among even masks, ascending)
 
 A middle vertex is adjacent to a_i when bit i of its mask is set, and to b_i
 otherwise.  Automorphisms fixing every twin pair setwise are exactly the
@@ -44,7 +44,10 @@ class Gadget:
         return 2 * self.d
 
     def middle_vertex(self, mask: int) -> int:
-        return 2 * self.d + self.middles.index(mask)
+        # the even masks ascending take one of each pair {2k, 2k+1}, so rank = mask >> 1
+        if not 0 <= mask < 1 << self.d or bin(mask).count("1") % 2 != 0:
+            raise ValueError(f"{mask} is not an even {self.d}-bit mask")
+        return 2 * self.d + (mask >> 1)
 
     def mask_of(self, vertex: int) -> int:
         if vertex < 2 * self.d:

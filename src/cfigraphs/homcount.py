@@ -11,6 +11,7 @@ which kills the identity fiber and yields a strict homomorphism-count gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .base_graph import BaseGraph, Edge
@@ -30,7 +31,7 @@ class Subdivision2:
         """Inverse of w_index for subdivision vertices; None on original vertices."""
         return self.w_of.get(vertex)
 
-    @property
+    @cached_property
     def w_of(self) -> dict:
         return {idx: pair for pair, idx in self.w_index.items()}
 
@@ -209,7 +210,7 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     for alpha in range(sub.graph.n):
         img = g_endo[alpha]
         if img < base.n:
-            variables.extend(f"x[{alpha},{u}]" for u in sorted(base.adjacency[img]))
+            variables.extend(f"x[{alpha},{u}]" for u in base.sorted_adjacency[img])
         else:
             variables.append(f"x[{alpha}]")
 
@@ -217,7 +218,7 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     for alpha in range(sub.graph.n):
         img = g_endo[alpha]
         if img < base.n:
-            vs = tuple(f"x[{alpha},{u}]" for u in sorted(base.adjacency[img]))
+            vs = tuple(f"x[{alpha},{u}]" for u in base.sorted_adjacency[img])
             equations.append(Gf2Equation(vs, 0, "gadget-parity"))
     for a, b in sub.graph.edges:
         for alpha, beta in ((a, b), (b, a)):

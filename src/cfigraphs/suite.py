@@ -162,9 +162,9 @@ def check_distinguisher(seed: int) -> dict:
         recovered = distinguisher.recover_base(cfi.build_cfi(base).graph)
         if recovered.n != base.n or iso.find_isomorphism(recovered, base) is None:
             ok = False
-    t0 = time.time()
+    t0 = time.perf_counter()
     distinguisher.distinguish(cfi.build_cfi(bg.petersen()).graph)
-    petersen_seconds = time.time() - t0
+    petersen_seconds = time.perf_counter() - t0
     return {"passed": ok and petersen_seconds < 1.0,
             "runs": runs, "petersen_seconds": round(petersen_seconds, 3)}
 
@@ -315,10 +315,10 @@ CHECKS = {
 
 
 def run_check(check_id: str, seed: int = 20240) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = CHECKS[check_id](seed)
     passed = details.pop("passed")
-    return CheckResult(check_id, passed, round(time.time() - t0, 2), details)
+    return CheckResult(check_id, passed, round(time.perf_counter() - t0, 2), details)
 
 
 def run_all(seed: int = 20240) -> list[CheckResult]:

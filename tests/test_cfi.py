@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,45 @@ BASES = {
     "star": bg.complete_bipartite(1, 3),
     "grid23": bg.grid(2, 3),
 }
+
+
+# First 16 hex digits of sha256(repr((names, edges, colors))); these pin the
+# exact vertex order, edge list and colour integers that callers index into.
+GOLDEN_LAYOUT = {
+    ("K4", False, "none"): "9e80c0d930079640",
+    ("K4", False, "two"): "ae1c6d3b5408108c",
+    ("K4", True, "none"): "979005a972917db4",
+    ("K4", True, "two"): "df0525d928cac802",
+    ("grid23", False, "none"): "1c6609d14cabf85d",
+    ("grid23", False, "two"): "739d8b4e37183939",
+    ("grid23", True, "none"): "cb8f0429ddd6c1ef",
+    ("grid23", True, "two"): "33d446c53e690233",
+    ("petersen", False, "none"): "949eff92a45cf9b8",
+    ("petersen", False, "two"): "9183fae4b348818e",
+    ("petersen", True, "none"): "bc5bdb19ec72c241",
+    ("petersen", True, "two"): "ca0e7332babeab88",
+    ("K13", False, "none"): "a76c9c23273d409c",
+    ("K13", False, "two"): "3c6e9a8207565700",
+    ("K13", True, "none"): "b019abdc310e2dcc",
+    ("K13", True, "two"): "9fefda8cdd166174",
+}
+GOLDEN_BASES = {
+    "K4": bg.complete(4),
+    "grid23": bg.grid(2, 3),
+    "petersen": bg.petersen(),
+    "K13": bg.complete_bipartite(1, 3),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_LAYOUT))
+def test_golden_layout(key):
+    name, colored, twisted = key
+    base = GOLDEN_BASES[name]
+    c = cfi.build_cfi(base, colored)
+    if twisted == "two":
+        c = cfi.apply_twist_sequence(c, [base.edges[0], base.edges[2]])
+    digest = hashlib.sha256(repr((c.names(), c.edges, c.colors)).encode()).hexdigest()
+    assert digest[:16] == GOLDEN_LAYOUT[key]
 
 
 def test_preconditions():
@@ -117,6 +158,9 @@ def test_colors():
     assert c.colors[c.link_index(u, v, "a")] != c.colors[c.link_index(u, w, "a")]
     with pytest.raises(ValueError):
         cfi.color_of(cfi.build_cfi(base), 0)
+    for x in (-1, c.n):
+        with pytest.raises(ValueError):
+            cfi.color_of(c, x)
 
 
 def test_color_ints_respect_gadgets():

@@ -1,6 +1,7 @@
 import json
 
-from cfigraphs import cli
+from cfigraphs import base_graph as bg
+from cfigraphs import cfi, cli
 
 
 def run(capsys, *argv):
@@ -95,6 +96,7 @@ def test_focheck(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["all_agree"] is True
     assert doc["predicates"]["same_color"]["agree"] == doc["predicates"]["same_color"]["total"]
+    assert doc["predicates"]["middle"] == {"agree": doc["n"], "total": doc["n"]}
 
 
 def test_input_errors(tmp_path, capsys):
@@ -111,6 +113,16 @@ def test_input_errors(tmp_path, capsys):
     run(capsys, "gen", "K", "5", "--out", str(k5))
     code, _, err = run(capsys, "distinguish", str(k5))
     assert code == 2
+
+
+def test_distinguish_rejects_disjoint_copies(tmp_path, capsys):
+    k4 = bg.complete(4)
+    for first in (cfi.build_cfi, cfi.build_tilde):
+        p = tmp_path / "union.json"
+        p.write_bytes(bg.write_graph(
+            bg.disjoint_union(first(k4).graph, cfi.build_tilde(k4).graph), "json"))
+        code, out, err = run(capsys, "distinguish", str(p))
+        assert code == 2 and out == "" and "not connected" in err
 
 
 def test_dimacs_roundtrip_via_cli(tmp_path, capsys):

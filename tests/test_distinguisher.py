@@ -127,6 +127,17 @@ def test_structure_errors():
         dg.distinguish(bg.cycle(9))  # single odd cycle is no twisted image
 
 
+@pytest.mark.parametrize("first", [cfi.build_cfi, cfi.build_tilde])
+def test_disjoint_copies_are_rejected(first):
+    # each copy is a valid CFI graph, but their union recovers a disconnected base
+    k4 = bg.complete(4)
+    g = bg.disjoint_union(first(k4).graph, cfi.build_tilde(k4).graph)
+    with pytest.raises(StructureError):
+        dg.decompose(g)
+    with pytest.raises(StructureError):
+        dg.distinguish(g)
+
+
 def test_recover_base_matches_construction():
     for base in (bg.complete(4), bg.grid(2, 3), bg.cycle(7)):
         got = dg.recover_base(cfi.build_cfi(base).graph)

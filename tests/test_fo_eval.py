@@ -83,7 +83,7 @@ def test_predicates_invariant_under_automorphisms():
 def test_agreement_report():
     c = cfi.build_cfi(bg.complete_bipartite(3, 3))
     table = fo_eval.build_predicate_table(c.graph)
-    counts = fo_eval.predicate_agreement(c, table)
+    counts = fo_eval.predicate_agreement(c.vertices, table)
     for key, entry in counts.items():
         assert entry["agree"] == entry["total"], key
 
@@ -92,6 +92,6 @@ def test_twisted_graph_same_predicates():
     base = bg.complete(4)
     ct = cfi.build_tilde(base)
     table = fo_eval.build_predicate_table(ct.graph)
-    counts = fo_eval.predicate_agreement(ct, table)
+    counts = fo_eval.predicate_agreement(ct.vertices, table)
     for key, entry in counts.items():
         assert entry["agree"] == entry["total"], key

@@ -45,6 +45,9 @@ def test_flip_examples():
     assert gd.apply_flip(g, 0, 5) == 5  # empty flip is the identity
     with pytest.raises(ValueError):
         gd.apply_flip(g, 0b001, 0)  # odd mask
+    for mask in (0b001, 0b111, -2, 0b1010):  # odd, odd, negative, out of range
+        with pytest.raises(ValueError):
+            g.middle_vertex(mask)
 
 
 @settings(max_examples=60, deadline=None)
