@@ -16,6 +16,10 @@ from .errors import GraphFormatError
 
 Edge = tuple[int, int]
 
+# Largest vertex count read_graph accepts: far above CFI(grid 30x30)'s 13,688
+# vertices, and small enough that per-vertex work on an input stays bounded.
+MAX_INPUT_VERTICES = 1_000_000
+
 
 def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
@@ -260,6 +264,12 @@ def read_graph(data: bytes, fmt: str = "json") -> tuple[BaseGraph, dict]:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _check_input_size(n: int) -> int:
+    if n > MAX_INPUT_VERTICES:
+        raise GraphFormatError(f"n = {n} exceeds the input cap of {MAX_INPUT_VERTICES} vertices")
+    return n
+
+
 def _read_json(data: bytes) -> tuple[BaseGraph, dict]:
     try:
         doc = json.loads(data.decode())
@@ -268,7 +278,8 @@ def _read_json(data: bytes) -> tuple[BaseGraph, dict]:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError('JSON graph needs "n" and "edges"')
     try:
-        g = BaseGraph.from_edges(int(doc["n"]), [(int(u), int(v)) for u, v in doc["edges"]])
+        n = _check_input_size(int(doc["n"]))
+        g = BaseGraph.from_edges(n, [(int(u), int(v)) for u, v in doc["edges"]])
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph data: {exc}") from exc
     meta = {}
@@ -296,7 +307,7 @@ def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: expected 'p edge N M'")
-            n = int(parts[2])
+            n = _check_input_size(int(parts[2]))
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")

@@ -1,5 +1,7 @@
 """Batch command-line surface; machine-readable JSON on stdout, diagnostics on
-stderr.  Exit codes: 0 success, 1 check failure, 2 usage or input error."""
+stderr.  Exit codes: 0 success, 1 check failure, 2 usage or input error
+(including a graph file above ``base_graph.MAX_INPUT_VERTICES`` vertices),
+3 internal error (a self-check of an engine failed)."""
 
 from __future__ import annotations
 
@@ -224,6 +226,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, StructureError, SizeGuardError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,29 +2,27 @@
 
 Three engines, deliberately distinct so they can cross-check each other:
 
-* ``lk_equivalent`` decides equivalence in the k-variable fragment without
-  counting, as the greatest fixpoint of the k-pebble game.  It refines the
-  k-tuple spaces of both graphs with *set*-valued substitution signatures
-  (a surviving position needs, for every pebble and every placement, some
-  reply landing in a surviving class); equivalence holds iff the diagonal
-  tuples of the two graphs realize the same class sets.
+* ``lk_equivalent``: the k-variable logic without counting, as the greatest
+  fixpoint of the k-pebble game; equivalent iff the diagonal tuples of the
+  two graphs realize the same class sets.
+* ``wl_equivalent``: dim-dimensional Weisfeiler-Leman refinement compared by
+  class histograms; it decides the counting logic with dim+1 variables.
+  Dim 1 is colour refinement on vertices: the tuple kernel would build an
+  n-by-n row block there, and its atomic type carries no adjacency.
 
-* ``wl_equivalent`` runs dim-dimensional Weisfeiler-Leman refinement
-  (multiset signatures; classic color refinement at dim=1) and compares
-  stable histograms.  It decides equivalence in the counting fragment with
-  dim+1 variables.
-
-* ``ck_equivalent_game`` solves the bijective k-pebble game directly at tiny
-  scale: a position survives iff for every pebble there is a bijection all of
-  whose placements land on surviving positions, decided by a perfect-matching
-  test.  It must agree with ``wl_equivalent`` at dim = k-1.
+  Both run one kernel over the k-tuples of both graphs.  A tuple's row holds
+  what substituting each vertex at a coordinate reaches: per coordinate, the
+  *set* of classes (L^k), or the *multiset* of k-tuples of classes (WL).
+* ``ck_equivalent_game``: the bijective k-pebble game solved outright at
+  tiny scale by perfect-matching tests.  It must agree with
+  ``wl_equivalent`` at dim = k-1, so it never reads refinement classes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,13 +41,19 @@ def _norm_colors(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[int]:
     return list(colors)
 
 
-def _shared_ids(rows1: np.ndarray, rows2: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Re-index signature rows of both graphs through one shared table."""
-    stacked = np.vstack([rows1, rows2])
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.astype(np.int64)
-    count = int(inverse.max()) + 1
-    return inverse[: len(rows1)], inverse[len(rows1):], count
+def _rank_rows(rows: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense ids shared by the rows of both graphs: equal rows, equal ids.
+
+    ``rows`` stacks graph 1's rows (the first ``split``) over graph 2's;
+    column-major rows keep every lexsort key contiguous."""
+    order = np.lexsort(rows.T)
+    new = np.zeros(len(rows), dtype=bool)  # sorted row differs from its predecessor
+    for col in rows.T:
+        ranked = col[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids[:split], ids[split:], int(new.sum()) + 1
 
 
 def _atomic_rows(g: BaseGraph, colors: list[int], k: int) -> np.ndarray:
@@ -68,52 +72,93 @@ def _atomic_rows(g: BaseGraph, colors: list[int], k: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
+                colors1: Optional[Sequence[int]], colors2: Optional[Sequence[int]],
+                sets: bool) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Refine the k-tuples of both graphs jointly; yield the shared classes
+    ``(C1, C2, count)`` of the atomic types and then after every round.
+
+    Set rows are sorted with duplicates blanked to -1; a multiset row folds
+    each substituted k-tuple into one int64 as e*count + class and sorts.
+    Rows of the smaller graph are padded with -1, which sorts first."""
+    if g1.n ** k + g2.n ** k > LK_TUPLE_GUARD:
+        raise SizeGuardError("tuple space too large for k-tuple refinement")
+    split = g1.n ** k
+    C1, C2, count = _rank_rows(np.vstack([
+        _atomic_rows(g1, _norm_colors(g1, colors1), k),
+        _atomic_rows(g2, _norm_colors(g2, colors2), k)]), split)
+    yield C1, C2, count
+
+    width = max(g1.n, g2.n)
+    blocks = k if sets else 1
+    rows = np.empty((split + g2.n ** k, 1 + blocks * width), dtype=np.int64, order="F")
+    parts = []  # per graph: vertex count, its block views of rows, substitutions
+    for g, top in ((g1, 0), (g2, split)):
+        n = g.n
+        mine = rows[top:top + n ** k]
+        mine[:, 1:] = -1  # the padding, written once
+        idx = np.arange(n ** k)
+        # coordinate i of tuple t holds vertex w at t - digit_i(t)*n**i + w*n**i
+        subs = [(idx - (idx // n ** i % n) * n ** i, n ** i) for i in range(k)]
+        views = [mine[:, 1 + (b + 1) * width - n:1 + (b + 1) * width] for b in range(blocks)]
+        parts.append((n, views, subs))
+    while True:
+        rows[:split, 0], rows[split:, 0] = C1, C2
+        if sets:
+            for (n, views, subs), C in zip(parts, (C1, C2)):
+                for block, (base, stride) in zip(views, subs):
+                    for w in range(n):
+                        np.take(C, base + w * stride, out=block[:, w])
+                    block.sort(axis=1)
+                    block[:, 1:][block[:, 1:] == block[:, :-1]] = -1
+                    block.sort(axis=1)
+        else:
+            folded = [views[0] for _, views, _ in parts]
+            for block in folded:
+                block[...] = 0
+            bound = 1  # every folded value is below it
+            for i in range(k):
+                if bound * count > 2 ** 62:  # re-rank both graphs' values together
+                    distinct, inverse = np.unique(
+                        np.concatenate([block.ravel() for block in folded]), return_inverse=True)
+                    cut = folded[0].size
+                    folded[0][...] = inverse[:cut].reshape(folded[0].shape)
+                    folded[1][...] = inverse[cut:].reshape(folded[1].shape)
+                    bound = len(distinct)
+                for (n, _, subs), block, C in zip(parts, folded, (C1, C2)):
+                    base, stride = subs[i]
+                    for w in range(n):
+                        e = block[:, w]
+                        e *= count
+                        e += C[base + w * stride]
+                bound *= count
+            for block in folded:
+                block.sort(axis=1)
+        C1, C2, count = _rank_rows(rows, split)
+        yield C1, C2, count
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     equivalent: bool
     rounds: tuple[int, ...]  # shared class count after each refinement round
 
 
-def _lk_report(g1: BaseGraph, g2: BaseGraph, k: int,
-               colors1: Optional[Sequence[int]], colors2: Optional[Sequence[int]]) -> EquivalenceReport:
+def lk_equivalent_report(g1: BaseGraph, g2: BaseGraph, k: int,
+                         colors1: Optional[Sequence[int]] = None,
+                         colors2: Optional[Sequence[int]] = None) -> EquivalenceReport:
+    """The k-pebble fixpoint's verdict and the class count of every round."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if g1.n ** k + g2.n ** k > LK_TUPLE_GUARD:
-        raise SizeGuardError("tuple space too large for the k-variable fixpoint")
-    c1 = _norm_colors(g1, colors1)
-    c2 = _norm_colors(g2, colors2)
-    C1, C2, ncolors = _shared_ids(_atomic_rows(g1, c1, k), _atomic_rows(g2, c2, k))
-    rounds = [ncolors]
-    width = max(g1.n, g2.n)  # set rows padded to a shared width; -1 sorts first
-
-    def signature(g: BaseGraph, C: np.ndarray) -> np.ndarray:
-        n = g.n
-        idx = np.arange(n ** k)
-        parts = [C[:, None]]
-        for i in range(k):
-            digit = (idx // n ** i) % n
-            base = idx - digit * n ** i
-            subs = C[base[:, None] + (np.arange(n) * n ** i)[None, :]]
-            subs = np.sort(subs, axis=1)
-            # set semantics: blank out duplicates, then restore sortedness
-            dup = np.zeros_like(subs, dtype=bool)
-            dup[:, 1:] = subs[:, 1:] == subs[:, :-1]
-            subs[dup] = -1
-            subs = np.sort(subs, axis=1)
-            if n < width:
-                subs = np.hstack(
-                    [np.full((len(subs), width - n), -1, dtype=np.int64), subs])
-            parts.append(subs)
-        return np.hstack(parts)
-
-    while True:
-        C1, C2, new_count = _shared_ids(signature(g1, C1), signature(g2, C2))
-        if new_count == rounds[-1]:
+    refinement = _refinement(g1, g2, k, colors1, colors2, sets=True)
+    C1, C2, count = next(refinement)
+    rounds = [count]
+    for C1, C2, count in refinement:
+        if count == rounds[-1]:
             break
-        rounds.append(new_count)
-
-    diag1 = np.arange(g1.n) * ((g1.n ** k - 1) // (g1.n - 1) if g1.n > 1 else 1)
-    diag2 = np.arange(g2.n) * ((g2.n ** k - 1) // (g2.n - 1) if g2.n > 1 else 1)
+        rounds.append(count)
+    diag1 = np.arange(g1.n) * sum(g1.n ** i for i in range(k))
+    diag2 = np.arange(g2.n) * sum(g2.n ** i for i in range(k))
     equivalent = set(C1[diag1].tolist()) == set(C2[diag2].tolist())
     return EquivalenceReport(equivalent, tuple(rounds))
 
@@ -122,11 +167,7 @@ def lk_equivalent(g1: BaseGraph, g2: BaseGraph, k: int,
                   colors1: Optional[Sequence[int]] = None,
                   colors2: Optional[Sequence[int]] = None) -> bool:
     """Whether the graphs satisfy the same k-variable first-order sentences."""
-    return _lk_report(g1, g2, k, colors1, colors2).equivalent
-
-
-def lk_equivalent_report(g1, g2, k, colors1=None, colors2=None) -> EquivalenceReport:
-    return _lk_report(g1, g2, k, colors1, colors2)
+    return lk_equivalent_report(g1, g2, k, colors1, colors2).equivalent
 
 
 # -- Weisfeiler-Leman ----------------------------------------------------------
@@ -165,52 +206,24 @@ def _wl1_report(g1, g2, colors1, colors2) -> EquivalenceReport:
     return EquivalenceReport(Counter(C1) == Counter(C2), tuple(rounds))
 
 
-def _wl_report(g1: BaseGraph, g2: BaseGraph, dim: int,
-               colors1, colors2) -> EquivalenceReport:
+def wl_equivalent_report(g1: BaseGraph, g2: BaseGraph, dim: int,
+                         colors1: Optional[Sequence[int]] = None,
+                         colors2: Optional[Sequence[int]] = None) -> EquivalenceReport:
+    """WL's verdict at dimension dim and the class count of every round."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if dim == 1:
         return _wl1_report(g1, g2, colors1, colors2)
-    if g1.n ** dim + g2.n ** dim > LK_TUPLE_GUARD:
-        raise SizeGuardError("tuple space too large for WL refinement")
-    c1 = _norm_colors(g1, colors1)
-    c2 = _norm_colors(g2, colors2)
-    C1, C2, ncolors = _shared_ids(_atomic_rows(g1, c1, dim), _atomic_rows(g2, c2, dim))
-    rounds = [ncolors]
-
-    row_width = max(g1.n, g2.n)
-
-    def signature(g: BaseGraph, C: np.ndarray, width: int) -> np.ndarray:
-        n = g.n
-        idx = np.arange(n ** dim)
-        packed = np.zeros((n ** dim, n), dtype=np.int64)
-        for i in range(dim):
-            digit = (idx // n ** i) % n
-            base = idx - digit * n ** i
-            subs = C[base[:, None] + (np.arange(n) * n ** i)[None, :]]
-            packed = (packed << width) | subs
-        packed = np.sort(packed, axis=1)  # multiset over the substituted vertex
-        if n < row_width:
-            packed = np.hstack(
-                [np.full((len(packed), row_width - n), -1, dtype=np.int64), packed])
-        return np.hstack([C[:, None], packed])
-
-    def histograms_equal(C1, C2, count):
-        return np.array_equal(
-            np.bincount(C1, minlength=count), np.bincount(C2, minlength=count))
-
-    while True:
-        width = max(int(ncolors).bit_length(), 1)
-        if width * dim > 62:
-            raise SizeGuardError("color width overflow in WL packing")
-        C1, C2, new_count = _shared_ids(
-            signature(g1, C1, width), signature(g2, C2, width))
-        stable = new_count == ncolors
-        ncolors = new_count
+    refinement = _refinement(g1, g2, dim, colors1, colors2, sets=False)
+    _, _, count = next(refinement)
+    rounds = [count]
+    for C1, C2, count in refinement:
+        stable = count == rounds[-1]
         if not stable:
-            rounds.append(new_count)
+            rounds.append(count)
         # histograms only ever split; inequality is final
-        if not histograms_equal(C1, C2, ncolors):
+        if not np.array_equal(np.bincount(C1, minlength=count),
+                              np.bincount(C2, minlength=count)):
             return EquivalenceReport(False, tuple(rounds))
         if stable:
             return EquivalenceReport(True, tuple(rounds))
@@ -221,66 +234,31 @@ def wl_equivalent(g1: BaseGraph, g2: BaseGraph, dim: int,
                   colors2: Optional[Sequence[int]] = None) -> bool:
     """Whether dim-dimensional WL refinement leaves the two graphs with equal
     stable color histograms; decides the counting logic with dim+1 variables."""
-    return _wl_report(g1, g2, dim, colors1, colors2).equivalent
-
-
-def wl_equivalent_report(g1, g2, dim, colors1=None, colors2=None) -> EquivalenceReport:
-    return _wl_report(g1, g2, dim, colors1, colors2)
+    return wl_equivalent_report(g1, g2, dim, colors1, colors2).equivalent
 
 
 # -- bijective pebble game ------------------------------------------------------
 
 
-def _perfect_matching(rows: list[int], n: int) -> Optional[list[int]]:
-    """Perfect matching in a bipartite graph given as row bitmasks; Kuhn."""
-    match_x = [-1] * n
-    match_y = [-1] * n
+def _perfect_matching(rows: list[int], match_x: Sequence[int]) -> Optional[list[int]]:
+    """Perfect matching in a bipartite graph given as row bitmasks; Kuhn.
 
-    def augment(x: int, visited: int) -> tuple[bool, int]:
-        avail = rows[x] & ~visited
-        while avail:
-            y = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            visited |= 1 << y
-            if match_y[y] < 0:
-                match_y[y] = x
-                match_x[x] = y
-                return True, visited
-            ok, visited = augment(match_y[y], visited)
-            if ok:
-                match_y[y] = x
-                match_x[x] = y
-                return True, visited
-            avail &= ~visited
-        return False, visited
-
-    for x in range(n):
-        if rows[x] == 0:
-            return None
-        ok, _ = augment(x, 0)
-        if not ok:
-            return None
-    return match_x
-
-
-def _repair_matching(rows_state: list[int], stored: Sequence[int], n: int) -> Optional[list[int]]:
-    """Revalidate a stored matching against shrunken rows, re-augmenting the
-    broken columns only."""
-    match_x = [int(v) for v in stored]
-    match_y = [-1] * n
+    Starts from the pairs x -> match_x[x] still present in the rows and
+    augments the other rows, so a fresh matching passes [-1] * n."""
+    if 0 in rows:
+        return None
+    match_x = list(match_x)
+    match_y = [-1] * len(rows)
     broken = []
-    for x in range(n):
-        y = match_x[x]
-        if y >= 0 and (rows_state[x] >> y) & 1 and match_y[y] < 0:
+    for x, y in enumerate(match_x):
+        if y >= 0 and (rows[x] >> y) & 1 and match_y[y] < 0:
             match_y[y] = x
         else:
             match_x[x] = -1
             broken.append(x)
-    if not broken:
-        return match_x
 
     def augment(x: int, visited: int) -> tuple[bool, int]:
-        avail = rows_state[x] & ~visited
+        avail = rows[x] & ~visited
         while avail:
             y = (avail & -avail).bit_length() - 1
             avail &= avail - 1
@@ -329,11 +307,11 @@ def _ck_game_2(g1, g2, c1, c2) -> bool:
         changed = False
         for p in range(n):
             for q in range(n):
-                if alive[p][q] and _perfect_matching(rows_for(p, q), n) is None:
+                if alive[p][q] and _perfect_matching(rows_for(p, q), [-1] * n) is None:
                     alive[p][q] = False
                     changed = True
     start = [sum(1 << y for y in range(n) if alive[x][y]) for x in range(n)]
-    return _perfect_matching(start, n) is not None
+    return _perfect_matching(start, [-1] * n) is not None
 
 
 def _ck_game_3(g1, g2, c1, c2) -> bool:
@@ -360,8 +338,6 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
     rows = rows_np.tolist()  # rows[p][x][q] = bitmask over y of alive[p,x,q,y]
 
     my = np.full((n, n, n, n, n), -1, dtype=np.int8)  # stored matchings
-    from collections import deque
-
     dead: deque = deque()
 
     def state_rows(p0, p1, q0, q1) -> list[int]:
@@ -377,7 +353,7 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
     for p0, p1, q0, q1 in coords.tolist():
         if not alive[p0, p1, q0, q1]:
             continue
-        m = _perfect_matching(state_rows(p0, p1, q0, q1), n)
+        m = _perfect_matching(state_rows(p0, p1, q0, q1), [-1] * n)
         if m is None:
             kill(p0, p1, q0, q1)
         else:
@@ -391,7 +367,7 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
         for p1, q1 in hits1.tolist():
             if not alive[a, p1, c, q1]:
                 continue
-            m = _repair_matching(state_rows(a, p1, c, q1), my[a, p1, c, q1], n)
+            m = _perfect_matching(state_rows(a, p1, c, q1), my[a, p1, c, q1].tolist())
             if m is None:
                 kill(a, p1, c, q1)
             else:
@@ -399,14 +375,14 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
         for p0, q0 in hits2.tolist():
             if not alive[p0, a, q0, c]:
                 continue
-            m = _repair_matching(state_rows(p0, a, q0, c), my[p0, a, q0, c], n)
+            m = _perfect_matching(state_rows(p0, a, q0, c), my[p0, a, q0, c].tolist())
             if m is None:
                 kill(p0, a, q0, c)
             else:
                 my[p0, a, q0, c] = m
 
     start = [int(sum(1 << y for y in range(n) if alive[x, x, y, y])) for x in range(n)]
-    return _perfect_matching(start, n) is not None
+    return _perfect_matching(start, [-1] * n) is not None
 
 
 def ck_equivalent_game(g1: BaseGraph, g2: BaseGraph, k: int,
@@ -438,8 +414,6 @@ def end_distance_profile(g: BaseGraph) -> Counter:
     disjoint unions of paths only."""
     if any(s.kind != "path" for s in classify_linear(g)):
         raise ValueError("profile defined on disjoint unions of paths")
-    from collections import deque
-
     dist = [-1] * g.n
     queue = deque()
     for v in range(g.n):

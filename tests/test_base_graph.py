@@ -91,6 +91,9 @@ def test_dimacs():
         bg.read_graph(b"p edge 2 1\ne 1 1\n", "dimacs")
     with pytest.raises(GraphFormatError, match="line 1"):
         bg.read_graph(b"q edge 2 1\n", "dimacs")
+    with pytest.raises(GraphFormatError, match="input cap"):
+        bg.read_graph(b"p edge %d 0\n" % (bg.MAX_INPUT_VERTICES + 1), "dimacs")
+    assert bg.read_graph(b"p edge %d 0\n" % bg.MAX_INPUT_VERTICES, "dimacs")[0].n == bg.MAX_INPUT_VERTICES
     rt, _ = bg.read_graph(bg.write_graph(g, "dimacs"), "dimacs")
     assert rt == g
 

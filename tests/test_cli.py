@@ -1,7 +1,7 @@
 import json
 
 from cfigraphs import base_graph as bg
-from cfigraphs import cfi, cli
+from cfigraphs import cfi, cli, treewidth
 
 
 def run(capsys, *argv):
@@ -78,6 +78,18 @@ def test_tw(tmp_path, capsys):
     assert len(doc["bags"]) == 4 and len(doc["tree"]) == 3
 
 
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(g):
+        raise AssertionError("decomposition fails validation")
+
+    p = tmp_path / "k4.json"
+    run(capsys, "gen", "K", "4", "--out", str(p))
+    monkeypatch.setattr(treewidth, "treewidth_exact", broken)
+    code, out, err = run(capsys, "tw", str(p))
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and "decomposition fails validation" in err
+
+
 def test_hom(tmp_path, capsys):
     p = tmp_path / "c3.json"
     run(capsys, "gen", "C", "3", "--out", str(p))
@@ -108,6 +120,10 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "C", "2")
     assert code == 2
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1000000000000, "edges": []}')
+    code, _, err = run(capsys, "distinguish", str(huge))
+    assert code == 2 and "input cap" in err
     # structurally wrong input for the distinguisher
     k5 = tmp_path / "k5.json"
     run(capsys, "gen", "K", "5", "--out", str(k5))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -300,3 +301,118 @@ def test_hierarchy_monotonicity_random(pair):
     for k in (2, 3):
         if eqv.wl_equivalent(g1, g2, k - 1):
             assert eqv.lk_equivalent(g1, g2, k)
+
+
+def _relabelled_twist(base, colored):
+    """Y/X and the twisted copy relabelled by a fixed shuffle, colours pushed along."""
+    y = cfi.build_cfi(base, colored)
+    yt = cfi.build_tilde(base, colored)
+    perm = list(range(yt.graph.n))
+    random.Random(7).shuffle(perm)
+    colors = None
+    if yt.colors is not None:
+        colors = [0] * yt.graph.n
+        for v, c in enumerate(yt.colors):
+            colors[perm[v]] = c
+    return y.graph, yt.graph.relabel(perm), y.colors, colors
+
+
+# (base, colored, engine, k) -> (equivalent, rounds); engine "wl" takes dim = k.
+# Computed with the np.unique(axis=0) kernel; the CLI's "rounds" shows these.
+GOLDEN_ROUNDS = {
+    ("P3", False, "wl", 2): (False, (3, 12, 51)),
+    ("P3", False, "lk", 1): (True, (1,)),
+    ("P3", False, "lk", 2): (True, (3,)),
+    ("P3", False, "wl", 3): (False, (14, 112, 973)),
+    ("P3", False, "lk", 3): (False, (14, 77, 973, 2784, 2816)),
+    ("P3", True, "wl", 2): (False, (126, 188, 336)),
+    ("P3", True, "lk", 1): (True, (10,)),
+    ("P3", True, "lk", 2): (False, (126, 168, 214, 268, 332, 452, 648)),
+    ("P3", True, "wl", 3): (False, (1822, 3378, 7558)),
+    ("P3", True, "lk", 3): (False, (1822, 3378, 7558, 11604, 11664)),
+    ("C5", False, "wl", 2): (False, (3, 4, 6, 11)),
+    ("C5", False, "lk", 1): (True, (1,)),
+    ("C5", False, "lk", 2): (True, (3,)),
+    ("C5", True, "wl", 2): (False, (270, 300, 360, 510)),
+    ("C5", True, "lk", 1): (True, (15,)),
+    ("C5", True, "lk", 2): (True, (270,)),
+    ("K4", False, "wl", 2): (True, (3, 4, 11, 23)),
+    ("K4", False, "lk", 1): (True, (1,)),
+    ("K4", False, "lk", 2): (True, (3,)),
+    ("K4", True, "wl", 2): (True, (308, 340, 352)),
+    ("K4", True, "lk", 1): (True, (16,)),
+    ("K4", True, "lk", 2): (True, (308,)),
+}
+
+# graphs of differing sizes: the only inputs whose set/multiset rows are padded
+GOLDEN_ROUNDS_P3_P9 = {
+    ("wl", 2): (False, (3, 20)),
+    ("lk", 1): (True, (1,)),
+    ("lk", 2): (True, (3,)),
+}
+
+
+def _report(engine, g1, g2, k, c1=None, c2=None):
+    run = eqv.wl_equivalent_report if engine == "wl" else eqv.lk_equivalent_report
+    rep = run(g1, g2, k, c1, c2)
+    return rep.equivalent, rep.rounds
+
+
+def test_golden_round_traces():
+    bases = {"P3": bg.path(3), "C5": bg.cycle(5), "K4": bg.complete(4)}
+    pairs = {(name, colored): _relabelled_twist(base, colored)
+             for name, base in bases.items() for colored in (False, True)}
+    for (name, colored, engine, k), want in GOLDEN_ROUNDS.items():
+        g1, g2, c1, c2 = pairs[name, colored]
+        assert _report(engine, g1, g2, k, c1, c2) == want, (name, colored, engine, k)
+    for (engine, k), want in GOLDEN_ROUNDS_P3_P9.items():
+        assert _report(engine, bg.path(3), bg.path(9), k) == want, (engine, k)
+
+
+def test_wl_dim4_folds_past_62_bits():
+    # 2 * 18**4 tuples sit inside the tuple guard; the colored pair's class
+    # count passes 2**15.5, so a 4-fold of classes needs a re-rank.  Merging
+    # colour 1 into 5 gives the two graphs different partial folds, which only
+    # a re-rank shared by both graphs keeps consistent.  The colored traces
+    # agree with a pure-Python WL that keeps whole k-tuples in its rows.
+    def merged(colors):
+        return [5 if c == 1 else c for c in colors]
+
+    for colored, recolor, want in ((False, None, (91, 1396, 20394)),
+                                   (True, None, (29016, 65888, 160368)),
+                                   (True, merged, (22843, 65888, 160368))):
+        y = cfi.build_cfi(bg.path(3), colored)
+        yt = cfi.build_tilde(bg.path(3), colored)
+        c1, c2 = (y.colors, yt.colors) if recolor is None else (recolor(y.colors), recolor(yt.colors))
+        rep = eqv.wl_equivalent_report(y.graph, yt.graph, 4, c1, c2)
+        assert (rep.equivalent, rep.rounds) == (False, want), (colored, recolor)  # tw(P3) = 1 < 5
+
+
+@st.composite
+def bipartite_rows(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    stored = draw(st.one_of(
+        st.just([-1] * n), st.permutations(range(n)),
+        st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
+    return rows, stored
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(bipartite_rows())
+def test_perfect_matching_fresh_and_repaired(case):
+    rows, stored = case
+    n = len(rows)
+    fits = any(all((rows[x] >> perm[x]) & 1 for x in range(n))
+               for perm in itertools.permutations(range(n)))
+    got = eqv._perfect_matching(rows, stored)
+    assert (got is not None) == fits
+    if got is not None:
+        assert sorted(got) == list(range(n))
+        assert all((rows[x] >> got[x]) & 1 for x in range(n))
+        # a stored matching that still fits is returned as it is; otherwise
+        # augmenting paths may move kept pairs ([1, 4, 8, 24, 2] from the
+        # identity must move 3 -> 3), so only the fit itself is checked
+        if sorted(stored) == list(range(n)) and all(
+                (rows[x] >> stored[x]) & 1 for x in range(n)):
+            assert got == stored
