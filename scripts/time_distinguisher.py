@@ -16,6 +16,9 @@ BASES = {
     "K33": bg.complete_bipartite(3, 3),
     "grid23": bg.grid(2, 3),
     "petersen": bg.petersen(),
+    "K6": bg.complete(6),
+    "K8": bg.complete(8),
+    "grid30": bg.grid(30, 30),
 }
 
 

@@ -6,8 +6,15 @@ base or its once-twisted companion, decide which, and recover the base.
 The route for inputs of maximum degree >= 3:
   1. Vertices lying on a cycle of length <= 8 are exactly the vertices of
      gadgets over base vertices of degree >= 3, and two such vertices share a
-     short cycle iff they share a gadget.  Union-find over short cycles
-     therefore recovers those gadgets.
+     short cycle iff they share a gadget.  These classes come from edges,
+     not from enumerated cycles, whose number grows exponentially with the
+     gadget degree: an edge uv lies on a cycle of length <= 8 iff
+     dist(u, v) <= 7 once uv is removed (the rest of the cycle is such a
+     path; a shortest such path is simple and closes with uv into a cycle).
+     Each short cycle is connected through its edges, so union-find over the
+     endpoints of those edges, found by a depth-bounded BFS per edge, gives
+     exactly the classes of union-find over the vertices of every short
+     cycle.
   2. Inside each recovered gadget, link vertices are the ones with an edge
      leaving the gadget, and twin pairs are found by complementary adjacency
      to the middle set.
@@ -78,6 +85,36 @@ def short_cycle_pair_rows(g: BaseGraph, max_len: int = 8) -> list[int]:
     return rows
 
 
+def short_cycle_edges(g: BaseGraph, max_len: int = 8) -> list[tuple[int, int]]:
+    """The edges uv, in edge order, with dist(u, v) <= max_len - 1 in g - uv:
+    exactly the edges of the cycles of length <= max_len.
+
+    Per edge, a bidirectional BFS grows balls around u and v in g - uv,
+    always expanding the smaller frontier; the balls meet iff the distance is
+    at most the sum of their radii.
+    """
+    if max_len < 3:
+        return []
+    adj = g.adjacency
+    reach = max_len - 1
+    found = []
+    for u, v in g.edges:
+        front_a, front_b = adj[u] - {v}, adj[v] - {u}
+        seen_a, seen_b = front_a | {u}, front_b | {v}
+        met = not front_a.isdisjoint(front_b)
+        radii = 2
+        while not met and radii < reach and front_a and front_b:
+            if len(front_a) > len(front_b):  # the sides are symmetric
+                front_a, front_b, seen_a, seen_b = front_b, front_a, seen_b, seen_a
+            front_a = set().union(*[adj[x] for x in front_a]) - seen_a
+            met = not front_a.isdisjoint(seen_b)
+            seen_a = seen_a | front_a
+            radii += 1
+        if met:
+            found.append((u, v))
+    return found
+
+
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -140,13 +177,11 @@ def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset
 
 def decompose(g: BaseGraph) -> GadgetDecomposition:
     """Recover the gadget structure of a CFI graph with some base degree >= 3."""
-    cycles = short_cycles(g)
     uf = _UnionFind(g.n)
     cyclic = set()
-    for cyc in cycles:
-        cyclic.update(cyc)
-        for v in cyc[1:]:
-            uf.union(cyc[0], v)
+    for u, v in short_cycle_edges(g):
+        cyclic.update((u, v))
+        uf.union(u, v)
     if not cyclic:
         raise StructureError("no short cycles found; no gadget of base degree >= 3 present")
 

@@ -30,6 +30,9 @@ from .base_graph import BaseGraph, classify_linear
 from .errors import SizeGuardError
 
 LK_TUPLE_GUARD = 250_000
+# int64 cells of the refinement's row matrix (128 MB): the tuple guard alone
+# admits L^2 on two 353-vertex graphs, whose rows would take about 1.4 GB
+ROW_CELL_GUARD = 16_000_000
 CK_STATE_GUARD = 600_000
 
 
@@ -83,14 +86,16 @@ def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
     Rows of the smaller graph are padded with -1, which sorts first."""
     if g1.n ** k + g2.n ** k > LK_TUPLE_GUARD:
         raise SizeGuardError("tuple space too large for k-tuple refinement")
+    width = max(g1.n, g2.n)
+    blocks = k if sets else 1
+    if (g1.n ** k + g2.n ** k) * (1 + blocks * width) > ROW_CELL_GUARD:
+        raise SizeGuardError("row matrix too large for k-tuple refinement")
     split = g1.n ** k
     C1, C2, count = _rank_rows(np.vstack([
         _atomic_rows(g1, _norm_colors(g1, colors1), k),
         _atomic_rows(g2, _norm_colors(g2, colors2), k)]), split)
     yield C1, C2, count
 
-    width = max(g1.n, g2.n)
-    blocks = k if sets else 1
     rows = np.empty((split + g2.n ** k, 1 + blocks * width), dtype=np.int64, order="F")
     parts = []  # per graph: vertex count, its block views of rows, substitutions
     for g, top in ((g1, 0), (g2, split)):

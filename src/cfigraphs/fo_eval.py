@@ -12,6 +12,12 @@ defining formulas:
                                  -> (E(x,z) <-> not E(y,z))
   same-color(x,y) := x = y, or twin(x,y),
                      or (gadget(x,y) and middle(x) and middle(y))
+
+gadget(x,y) keeps its pairwise reading: the table enumerates the short
+cycles themselves, not the union-find classes the distinguisher builds from
+them.  Every edge of a short cycle passes ``short_cycle_edges``, so
+enumerating on the subgraph of those edges finds the same cycles without
+walking across the edges between gadgets.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Sequence
 
 from .base_graph import BaseGraph
 from .cfi import CfiVertex, Link, build_cfi, build_tilde
-from .distinguisher import short_cycle_pair_rows
+from .distinguisher import short_cycle_edges, short_cycle_pair_rows
 
 
 @dataclass(frozen=True)
@@ -53,27 +59,27 @@ class PredicateTable:
 def build_predicate_table(g: BaseGraph) -> PredicateTable:
     n = g.n
     adj = g.adjacency_bits
-    gadget = list(short_cycle_pair_rows(g))
+    gadget = short_cycle_pair_rows(BaseGraph.from_edges(n, short_cycle_edges(g)))
     for x in range(n):
         gadget[x] |= 1 << x  # x = y disjunct
 
     # link(x): exists y with not gadget(x,y) and Exy
     link = tuple(bool(adj[x] & ~gadget[x]) for x in range(n))
     middle_mask = sum(1 << x for x in range(n) if not link[x])
+    link_mask = ((1 << n) - 1) & ~middle_mask
 
     twin = [0] * n
     for x in range(n):
         if not link[x]:
             continue
         zs = gadget[x] & middle_mask & ~(1 << x)  # gadget(z,x) and middle(z)
-        for y in range(n):
-            if y == x or not link[y]:
-                continue
-            if not (gadget[x] >> y) & 1:
-                continue
+        ys = gadget[x] & link_mask & ~(1 << x)  # y != x, link(y) and gadget(x,y)
+        while ys:
+            bit = ys & -ys
+            ys ^= bit
             # forall z in zs: Exz <-> not Eyz
-            if (adj[x] ^ adj[y]) & zs == zs:
-                twin[x] |= 1 << y
+            if (adj[x] ^ adj[bit.bit_length() - 1]) & zs == zs:
+                twin[x] |= bit
 
     same = [0] * n
     for x in range(n):

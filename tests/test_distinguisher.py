@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfigraphs import base_graph as bg
 from cfigraphs import cfi, iso
@@ -19,6 +22,58 @@ def test_short_cycles_canonical():
     assert dg.short_cycles(bg.path(9)) == []
     # bounded length: a 9-cycle has no short cycle
     assert dg.short_cycles(bg.cycle(9)) == []
+
+
+def _cycle_edges(g, max_len=8):
+    """Edges of the enumerated short cycles: the oracle for short_cycle_edges."""
+    edges = set()
+    for cyc in dg.short_cycles(g, max_len):
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            edges.add((min(x, y), max(x, y)))
+    return sorted(edges)
+
+
+def _scrambled(c, rng):
+    """The CFI graph under a random even flip in every gadget, then a random relabelling."""
+    flipped = c.graph.relabel(cfi.gadget_flip_map(c, cfi.random_even_flips(c, rng)))
+    perm = list(range(c.n))
+    rng.shuffle(perm)
+    return flipped.relabel(perm)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs on at most 10 vertices with at most n + 3 edges: in denser ones
+    nearly every edge lies on a triangle, which tests no length bound."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n + 3)) if pairs else []
+    return bg.BaseGraph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.integers(1, 9))
+def test_short_cycle_edges_match_enumeration(g, max_len):
+    assert dg.short_cycle_edges(g, max_len) == _cycle_edges(g, max_len)
+
+
+def test_short_cycle_edges_length_bound():
+    c8, c9 = bg.cycle(8), bg.cycle(9)
+    assert dg.short_cycle_edges(c8) == list(c8.edges)
+    assert dg.short_cycle_edges(c9) == []
+    # an 8-cycle with a pendant path: only the cycle's edges
+    g = bg.BaseGraph.from_edges(10, list(c8.edges) + [(7, 8), (8, 9)])
+    assert dg.short_cycle_edges(g) == list(c8.edges)
+
+
+@pytest.mark.parametrize("base", [
+    bg.complete(4), bg.complete(5), bg.complete(6), bg.complete_bipartite(3, 3),
+    bg.petersen(), bg.grid(8, 8)], ids=["K4", "K5", "K6", "K33", "petersen", "grid8"])
+def test_short_cycle_edges_match_enumeration_on_cfi(base):
+    rng = random.Random(base.n)
+    for build in (cfi.build_cfi, cfi.build_tilde):
+        g = _scrambled(build(base), rng)
+        assert dg.short_cycle_edges(g) == _cycle_edges(g)
 
 
 def test_short_cycle_membership_matches_gadget_degree():
@@ -192,3 +247,15 @@ def test_random_bases_roundtrip():
             v = dg.distinguish(c.graph.relabel(perm))
             assert v.twisted == twisted, (base.edges, twisted)
             assert iso.find_isomorphism(v.base, base) is not None, base.edges
+
+
+@pytest.mark.parametrize("base", [bg.complete(8), bg.grid(30, 30)], ids=["K8", "grid30"])
+def test_distinguish_at_scale(base):
+    rng = random.Random(base.n)
+    degrees = Counter(base.degree(u) for u in range(base.n))
+    for twisted in (False, True):
+        c = cfi.build_tilde(base) if twisted else cfi.build_cfi(base)
+        v = dg.distinguish(_scrambled(c, rng))
+        assert v.twisted == twisted
+        assert (v.base.n, len(v.base.edges)) == (base.n, len(base.edges))
+        assert Counter(v.base.degree(u) for u in range(v.base.n)) == degrees

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import hypothesis
@@ -138,6 +139,22 @@ def test_game_guards():
     big = cfi.build_cfi(bg.petersen()).graph
     with pytest.raises(SizeGuardError):
         eqv.ck_equivalent_game(big, big, 3)
+
+
+def test_row_matrix_guard():
+    # inside the tuple guard (249,218 tuples), but L^2's rows would be 1.4 GB
+    g1, g2 = bg.path(352), bg.cycle(353)
+    assert g1.n ** 2 + g2.n ** 2 == 249_218 <= eqv.LK_TUPLE_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            eqv.lk_equivalent_report(g1, g2, 2)
+        with pytest.raises(SizeGuardError):
+            eqv.wl_equivalent_report(g1, g2, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_end_distance_profile():

@@ -4,6 +4,7 @@ import pytest
 
 from cfigraphs import base_graph as bg
 from cfigraphs import cfi, fo_eval, iso
+from cfigraphs import distinguisher as dg
 
 
 def _table_for(base):
@@ -95,3 +96,17 @@ def test_twisted_graph_same_predicates():
     counts = fo_eval.predicate_agreement(ct.vertices, table)
     for key, entry in counts.items():
         assert entry["agree"] == entry["total"], key
+
+
+def test_gadget_rows_match_full_graph_enumeration():
+    # the table enumerates cycles on the short-cycle edges only; the full
+    # graph's enumeration must give the same pairwise rows
+    for base in (bg.complete(4), bg.complete_bipartite(3, 3), bg.grid(2, 3), bg.petersen()):
+        for build in (cfi.build_cfi, cfi.build_tilde):
+            g = build(base).graph
+            rows = dg.short_cycle_pair_rows(g)
+            table = fo_eval.build_predicate_table(g)
+            assert table.gadget == tuple(row | (1 << x) for x, row in enumerate(rows))
+        table = fo_eval.build_predicate_table(base)
+        rows = dg.short_cycle_pair_rows(base)
+        assert table.gadget == tuple(row | (1 << x) for x, row in enumerate(rows))
