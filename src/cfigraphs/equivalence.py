@@ -13,9 +13,15 @@ Three engines, deliberately distinct so they can cross-check each other:
   Both run one kernel over the k-tuples of both graphs.  A tuple's row holds
   what substituting each vertex at a coordinate reaches: per coordinate, the
   *set* of classes (L^k), or the *multiset* of k-tuples of classes (WL).
-* ``ck_equivalent_game``: the bijective k-pebble game solved outright at
-  tiny scale by perfect-matching tests.  It must agree with
-  ``wl_equivalent`` at dim = k-1, so it never reads refinement classes.
+* ``ck_equivalent_game``: the bijective k-pebble game (k = 2, 3) solved
+  outright at tiny scale: a position of k-1 pebbles lives while its live
+  extensions admit a perfect matching.  The 3-pebble solver solves only the
+  symmetric half of its positions (p0 <= p1, mirrored), starts every
+  matching warm, rejects a position before Kuhn when a row is empty or a
+  column uncovered, and propagates kills in rounds, each with one batched
+  lookup of the stored matchings that used them.  It must agree with
+  ``wl_equivalent`` at dim = k-1, so it reads only the graphs and colours,
+  never refinement classes.
 """
 
 from __future__ import annotations
@@ -248,9 +254,16 @@ def wl_equivalent(g1: BaseGraph, g2: BaseGraph, dim: int,
 def _perfect_matching(rows: list[int], match_x: Sequence[int]) -> Optional[list[int]]:
     """Perfect matching in a bipartite graph given as row bitmasks; Kuhn.
 
-    Starts from the pairs x -> match_x[x] still present in the rows and
-    augments the other rows, so a fresh matching passes [-1] * n."""
-    if 0 in rows:
+    Returns ``None`` at once when a row is empty or a column is uncovered
+    (Hall's condition fails on one vertex).  Otherwise starts from the pairs
+    x -> match_x[x] still present in the rows and augments the other rows, so
+    a fresh matching passes [-1] * n."""
+    covered = 0
+    for row in rows:
+        if not row:
+            return None
+        covered |= row
+    if covered != (1 << len(rows)) - 1:
         return None
     match_x = list(match_x)
     match_y = [-1] * len(rows)
@@ -288,38 +301,39 @@ def _perfect_matching(rows: list[int], match_x: Sequence[int]) -> Optional[list[
 
 
 def _ck_game_2(g1, g2, c1, c2) -> bool:
+    """The bijective 2-pebble game over one-pebble positions (p -> q).
+
+    It keeps O(n^2) state: one bitmask row per vertex and the last matching,
+    from which each matching starts.  A position's rows are the live rows
+    cut by the pair type of (p, x) against that of (q, y)."""
     n = g1.n
-    alive = [[c1[p] == c2[q] for q in range(n)] for p in range(n)]
+    full = (1 << n) - 1
     adj1, adj2 = g1.adjacency_bits, g2.adjacency_bits
-
-    def rows_for(p: int, q: int) -> list[int]:
-        rows = []
-        for x in range(n):
-            mask = 0
-            for y in range(n):
-                if not alive[x][y]:
-                    continue
-                if (p == x) != (q == y):
-                    continue
-                if ((adj1[p] >> x) & 1) != ((adj2[q] >> y) & 1):
-                    continue
-                mask |= 1 << y
-            rows.append(mask)
-        return rows
-
+    # alive[x]: bitmask over y of the live positions (x -> y)
+    alive = [sum(1 << y for y in range(n) if c1[x] == c2[y]) for x in range(n)]
+    last = [-1] * n
     changed = True
     while changed:
         changed = False
         for p in range(n):
             for q in range(n):
-                if alive[p][q] and _perfect_matching(rows_for(p, q), [-1] * n) is None:
-                    alive[p][q] = False
+                if not (alive[p] >> q) & 1:
+                    continue
+                near, far = adj2[q], full & ~adj2[q] & ~(1 << q)
+                rows = [alive[x] & (1 << q if x == p else near if (adj1[p] >> x) & 1 else far)
+                        for x in range(n)]
+                m = _perfect_matching(rows, last)
+                if m is None:
+                    alive[p] &= ~(1 << q)
                     changed = True
-    start = [sum(1 << y for y in range(n) if alive[x][y]) for x in range(n)]
-    return _perfect_matching(start, [-1] * n) is not None
+                else:
+                    last = m
+    return _perfect_matching(alive, [-1] * n) is not None
 
 
-def _ck_game_3(g1, g2, c1, c2) -> bool:
+def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
+    """The greatest fixpoint alive[p0, p1, q0, q1] of the bijective 3-pebble
+    game over two-pebble positions (p0 -> q0, p1 -> q1); see ``_ck_game_3``."""
     n = g1.n
     A1 = np.zeros((n, n), dtype=bool)
     for u, v in g1.edges:
@@ -342,50 +356,67 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
     rows_np = (alive.astype(np.uint64) * weights[None, None, None, :]).sum(axis=3)
     rows = rows_np.tolist()  # rows[p][x][q] = bitmask over y of alive[p,x,q,y]
 
-    my = np.full((n, n, n, n, n), -1, dtype=np.int8)  # stored matchings
-    dead: deque = deque()
+    # my[p0,p1,q0,q1,x]: the stored matching's image of x; -1 once dead
+    my = np.full((n, n, n, n, n), -1, dtype=np.int8)
+    killed = []  # positions killed since the last scan, mirrors included, 4 ints each
 
-    def state_rows(p0, p1, q0, q1) -> list[int]:
-        rp0, rp1 = rows[p0], rows[p1]
-        return [rp0[x][q0] & rp1[x][q1] for x in range(n)]
-
-    def kill(p0, p1, q0, q1):
-        alive[p0, p1, q0, q1] = False
+    def solve(p0, p1, q0, q1, start) -> Optional[list[int]]:
+        m = _perfect_matching([r0[q0] & r1[q1] for r0, r1 in zip(rows[p0], rows[p1])], start)
+        if m is not None:
+            my[p0, p1, q0, q1] = my[p1, p0, q1, q0] = m
+            return m
+        my[p0, p1, q0, q1] = my[p1, p0, q1, q0] = -1
+        alive[p0, p1, q0, q1] = alive[p1, p0, q1, q0] = False
         rows[p0][p1][q0] &= ~(1 << q1)
-        dead.append((p0, p1, q0, q1))
+        rows[p1][p0][q1] &= ~(1 << q0)
+        killed.extend((p0, p1, q0, q1))
+        if (p0, q0) != (p1, q1):
+            killed.extend((p1, p0, q1, q0))
+        return None
 
-    coords = np.argwhere(alive)
-    for p0, p1, q0, q1 in coords.tolist():
-        if not alive[p0, p1, q0, q1]:
-            continue
-        m = _perfect_matching(state_rows(p0, p1, q0, q1), [-1] * n)
-        if m is None:
-            kill(p0, p1, q0, q1)
-        else:
-            my[p0, p1, q0, q1] = m
+    # with p0 == p1 only q0 == q1 starts alive, so p0 <= p1 takes one of each pair
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    last = [-1] * n
+    for p0, p1, q0, q1 in np.argwhere(alive & upper[:, :, None, None]).tolist():
+        last = solve(p0, p1, q0, q1, last) or last
 
-    while dead:
-        a, b, c, d = dead.popleft()
-        # states whose stored matching used the dead entry on either factor
-        hits1 = np.argwhere((my[a, :, c, :, b] == d) & alive[a, :, c, :])
-        hits2 = np.argwhere((my[:, a, :, c, b] == d) & alive[:, a, :, c])
-        for p1, q1 in hits1.tolist():
-            if not alive[a, p1, c, q1]:
-                continue
-            m = _perfect_matching(state_rows(a, p1, c, q1), my[a, p1, c, q1].tolist())
-            if m is None:
-                kill(a, p1, c, q1)
-            else:
-                my[a, p1, c, q1] = m
-        for p0, q0 in hits2.tolist():
-            if not alive[p0, a, q0, c]:
-                continue
-            m = _perfect_matching(state_rows(p0, a, q0, c), my[p0, a, q0, c].tolist())
-            if m is None:
-                kill(p0, a, q0, c)
-            else:
-                my[p0, a, q0, c] = m
+    # a kill (a, b, c, d) breaks the stored matchings of (a, p1, c, q1) that
+    # send b to d, and those of their mirrors (p1, a, q1, c), which hold the
+    # same matching; the mirrored kill (b, a, d, c) is scanned as well.  Each
+    # broken position is re-solved once, as p0 <= p1.  Chunks of kills keep a
+    # scan near 2**16 cells.
+    stale = np.zeros_like(alive)
+    step = 4 * max(1, 2 ** 16 // (n * n))
+    while killed:
+        dead, killed = killed, []
+        for i in range(0, len(dead), step):
+            a, b, c, d = np.array(dead[i:i + step]).reshape(-1, 4).T
+            j, p1, q1 = np.nonzero(my[a, :, c, :, b] == d[:, None, None])
+            stale[a[j], p1, c[j], q1] = True
+        stale |= stale.transpose(1, 0, 3, 2)
+        hits = np.argwhere(stale & upper[:, :, None, None]).tolist()
+        stale[...] = False
+        for p0, p1, q0, q1 in hits:
+            solve(p0, p1, q0, q1, my[p0, p1, q0, q1].tolist())
+    return alive
 
+
+def _ck_game_3(g1, g2, c1, c2) -> bool:
+    """Duplicator's win in the bijective 3-pebble game from the empty board.
+
+    ``_ck_alive_3`` solves the two-pebble positions.  A position lives while
+    the bipartite graph x -> y of its live extensions has a perfect matching
+    (``_perfect_matching``, which rejects an empty row or an uncovered column
+    before Kuhn runs).  A position and its mirror (p1 -> q1, p0 -> q0) pose
+    the same matching problem, so only p0 <= p1 is solved, and every kill and
+    stored matching is written to both.  Each first matching starts from the
+    one found just before it.  Then the solver works in kill rounds: one
+    chunked, fancy-indexed scan finds every stored matching that used a
+    position killed in the round, and those positions are re-solved from
+    their stored matching.  Like every game solver here, it reads only the
+    graphs and colours, never refinement classes."""
+    n = g1.n
+    alive = _ck_alive_3(g1, g2, c1, c2)
     start = [int(sum(1 << y for y in range(n) if alive[x, x, y, y])) for x in range(n)]
     return _perfect_matching(start, [-1] * n) is not None
 

@@ -128,13 +128,6 @@ def compose(outer: VertexPerm, inner: VertexPerm) -> VertexPerm:
     return tuple(outer[x] for x in inner)
 
 
-def invert(perm: VertexPerm) -> VertexPerm:
-    out = [0] * len(perm)
-    for x, y in enumerate(perm):
-        out[y] = x
-    return tuple(out)
-
-
 def is_automorphism(g: BaseGraph, perm: VertexPerm) -> bool:
     if sorted(perm) != list(range(g.n)):
         return False

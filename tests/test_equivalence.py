@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
 from collections import Counter
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -210,6 +212,21 @@ def test_record_uncolored_three_variable_relation():
         assert isinstance(entry["lk3"], bool) and isinstance(entry["ck3"], bool)
 
 
+def is_partial_iso(g1, g2, c1, c2, pairs):
+    """Whether the pebble pairs (u, v) map g1's vertices onto g2's preserving
+    colours, equality and adjacency."""
+    for (u1, v1) in pairs:
+        if c1[u1] != c2[v1]:
+            return False
+        for (u2, v2) in pairs:
+            if (u1 == u2) != (v1 == v2):
+                return False
+            if u1 < u2 or (u1 == u2 and v1 < v2):
+                if g1.has_edge(u1, u2) != g2.has_edge(v1, v2):
+                    return False
+    return True
+
+
 def naive_lk_game(g1, g2, k, colors1=None, colors2=None):
     """Explicit position-space fixpoint of the k-pebble game; tiny scale only.
 
@@ -223,16 +240,7 @@ def naive_lk_game(g1, g2, k, colors1=None, colors2=None):
     c2 = colors2 or [0] * g2.n
 
     def partial_iso(pairs):
-        for (u1, v1) in pairs:
-            if c1[u1] != c2[v1]:
-                return False
-            for (u2, v2) in pairs:
-                if (u1 == u2) != (v1 == v2):
-                    return False
-                if u1 < u2 or (u1 == u2 and v1 < v2):
-                    if g1.has_edge(u1, u2) != g2.has_edge(v1, v2):
-                        return False
-        return True
+        return is_partial_iso(g1, g2, c1, c2, pairs)
 
     from itertools import combinations, product
 
@@ -320,10 +328,11 @@ def test_hierarchy_monotonicity_random(pair):
             assert eqv.lk_equivalent(g1, g2, k)
 
 
-def _relabelled_twist(base, colored):
-    """Y/X and the twisted copy relabelled by a fixed shuffle, colours pushed along."""
+def _relabelled_twist(base, colored, twisted=True):
+    """Y/X and the twisted copy (or a second copy of Y/X) relabelled by a fixed
+    shuffle, colours pushed along."""
     y = cfi.build_cfi(base, colored)
-    yt = cfi.build_tilde(base, colored)
+    yt = cfi.build_tilde(base, colored) if twisted else y
     perm = list(range(yt.graph.n))
     random.Random(7).shuffle(perm)
     colors = None
@@ -433,3 +442,111 @@ def test_perfect_matching_fresh_and_repaired(case):
         if sorted(stored) == list(range(n)) and all(
                 (rows[x] >> stored[x]) & 1 for x in range(n)):
             assert got == stored
+
+
+def naive_ck_alive_3(g1, g2, c1, c2):
+    """The bijective 3-pebble game's surviving two-pebble positions, by trying
+    every bijection; tiny scale only.
+
+    Position (p0 -> q0, p1 -> q1) starts alive when it is a partial
+    isomorphism and survives while Duplicator has a bijection f such that for
+    every x Spoiler may pebble, {p0 -> q0, p1 -> q1, x -> f(x)} is a partial
+    isomorphism and both positions left after lifting an old pebble,
+    (p1 -> q1, x -> f(x)) and (p0 -> q0, x -> f(x)), are alive."""
+    n = g1.n
+    pairs = list(itertools.product(range(n), range(n)))
+    alive = {(p0, p1, q0, q1) for (p0, q0), (p1, q1) in itertools.product(pairs, pairs)
+             if is_partial_iso(g1, g2, c1, c2, ((p0, q0), (p1, q1)))}
+    bijections = list(itertools.permutations(range(n)))
+    changed = True
+    while changed:
+        changed = False
+        for p0, p1, q0, q1 in sorted(alive):
+            if not any(all(is_partial_iso(g1, g2, c1, c2, ((p0, q0), (p1, q1), (x, f[x])))
+                           and (p1, x, q1, f[x]) in alive and (p0, x, q0, f[x]) in alive
+                           for x in range(n))
+                       for f in bijections):
+                alive.discard((p0, p1, q0, q1))
+                changed = True
+    out = np.zeros((n,) * 4, dtype=bool)
+    for pos in alive:
+        out[pos] = True
+    return out
+
+
+def naive_ck_game_2(g1, g2, c1, c2):
+    """The bijective 2-pebble game's verdict, by trying every bijection.
+
+    Position (p -> q) starts alive when the colours agree and survives while
+    some bijection f keeps every {p -> q, x -> f(x)} a partial isomorphism
+    with (x -> f(x)) alive; Duplicator wins when some bijection sends every x
+    to a live position."""
+    n = g1.n
+    alive = {(p, q) for p in range(n) for q in range(n) if c1[p] == c2[q]}
+    bijections = list(itertools.permutations(range(n)))
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(alive):
+            if not any(all(is_partial_iso(g1, g2, c1, c2, ((p, q), (x, f[x])))
+                           and (x, f[x]) in alive for x in range(n))
+                       for f in bijections):
+                alive.discard((p, q))
+                changed = True
+    return any(all((x, f[x]) in alive for x in range(n)) for f in bijections)
+
+
+@st.composite
+def tiny_colored_pairs(draw):
+    n = draw(st.integers(1, 5))
+    palette = draw(st.integers(1, 2))  # 1: uncolored
+
+    def one():
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=len(pairs))) if pairs else []
+        colors = draw(st.lists(st.integers(0, palette - 1), min_size=n, max_size=n))
+        return bg.BaseGraph.from_edges(n, edges), colors
+
+    return one(), one()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(tiny_colored_pairs())
+def test_game_fixpoint_matches_bijection_search(pair):
+    (g1, c1), (g2, c2) = pair
+    want = naive_ck_alive_3(g1, g2, c1, c2)
+    assert np.array_equal(eqv._ck_alive_3(g1, g2, c1, c2), want)
+    assert eqv.ck_equivalent_game(g1, g2, 2, c1, c2) == naive_ck_game_2(g1, g2, c1, c2)
+
+
+# (base, colored, second graph) -> (alive positions, sha256 of np.packbits(alive))
+# of the 3-pebble game fixpoint against the twist or a copy, each relabelled by
+# random.Random(7); computed with the unmirrored solver that re-solved every
+# position from a fresh matching
+GOLDEN_GAME_FIXPOINTS = {
+    ("P2", False, "tilde"): (0, "b2069f33fd956c79679b2e5a25c60cd0eab63b023d12111ff0242ae50896e9e1"),
+    ("P2", False, "self"): (380, "f4fdd3b61655a1cdc9b48747599de3d9ac178885a4d9b59409a9d5d35e0a8ef7"),
+    ("P2", True, "tilde"): (0, "b2069f33fd956c79679b2e5a25c60cd0eab63b023d12111ff0242ae50896e9e1"),
+    ("P2", True, "self"): (144, "e18b1133a5284fe745e9d7e6546af0f319c79f69df82efa3dac5d5be88be4148"),
+    ("P3", False, "tilde"): (0, "8becefb234bf9c1a5eba46ce84de8d7dd8c4a6a6241c3a12459bffd32e781d49"),
+    ("P3", False, "self"): (968, "dad7f5ce9a919f73880aad88d8fb2d26d41d18f9f5e0a02eb52f611800f713c1"),
+    ("P3", True, "tilde"): (0, "8becefb234bf9c1a5eba46ce84de8d7dd8c4a6a6241c3a12459bffd32e781d49"),
+    ("P3", True, "self"): (324, "ad577a828990d8dd6c5b5934239c7e6cda18aca6fbb687f780a847652c49efcc"),
+    ("C3", False, "tilde"): (0, "8becefb234bf9c1a5eba46ce84de8d7dd8c4a6a6241c3a12459bffd32e781d49"),
+    ("C3", False, "self"): (31752, "948fd755ebda355518ccb37966e51eda41f325f9662e98585994f2a9a7b5209a"),
+    ("C3", True, "tilde"): (0, "8becefb234bf9c1a5eba46ce84de8d7dd8c4a6a6241c3a12459bffd32e781d49"),
+    ("C3", True, "self"): (648, "4451c70875e727206fa39914e054741a65bffe54f3d8272332a2560aa5d22523"),
+}
+
+
+def test_golden_game_fixpoint():
+    bases = {"P2": bg.path(2), "P3": bg.path(3), "C3": bg.cycle(3)}
+    for (name, colored, other), want in GOLDEN_GAME_FIXPOINTS.items():
+        g1, g2, c1, c2 = _relabelled_twist(bases[name], colored, other == "tilde")
+        if c1 is None:
+            c1 = c2 = [0] * g1.n
+        alive = eqv._ck_alive_3(g1, g2, c1, c2)
+        got = (int(alive.sum()), hashlib.sha256(np.packbits(alive)).hexdigest())
+        assert got == want, (name, colored, other)
+        assert np.array_equal(alive, alive.transpose(1, 0, 3, 2)), (name, colored, other)
