@@ -32,16 +32,13 @@ def main() -> None:
     parser.add_argument("--workload", required=True, choices=("distinguish", "refine", "oracles"))
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--label", help="file label (default: the workload)")
     args = parser.parse_args()
 
     runs = []
     for seed in range(args.seed, args.seed + args.runs):
         proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
-             "--seconds", str(args.seconds), "--trace", str(args.trace)],
+            [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed)],
             cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
         runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
         print(f"seed {seed}: {json.dumps(runs[-1])}", file=sys.stderr)
@@ -54,7 +51,6 @@ def main() -> None:
                          "q1": q1, "q3": q3, "runs": values}
     record = {
         "workload": args.workload, "seeds": [args.seed, args.seed + args.runs - 1],
-        "seconds": args.seconds, "trace": args.trace,
         "correct": all(r["correct"] for r in runs),
         "attempted": [r["attempted"] for r in runs], "failed": [r["failed"] for r in runs],
         "metrics": metrics,
