@@ -8,11 +8,16 @@ Three engines, deliberately distinct so they can cross-check each other:
 * ``wl_equivalent``: dim-dimensional Weisfeiler-Leman refinement compared by
   class histograms; it decides the counting logic with dim+1 variables.
   Dim 1 is colour refinement on vertices: the tuple kernel would build an
-  n-by-n row block there, and its atomic type carries no adjacency.
+  n-by-n row block there, and its atomic type carries no adjacency.  Its
+  rows (a vertex's class, then its neighbours' classes, sorted) are ranked
+  per degree group through the same exact row ranking; a row wider than 64
+  columns is first ranked in 64-column slices.
 
   Both run one kernel over the k-tuples of both graphs.  A tuple's row holds
   what substituting each vertex at a coordinate reaches: per coordinate, the
-  *set* of classes (L^k), or the *multiset* of k-tuples of classes (WL).
+  *set* of classes (L^k), or the *multiset* of k-tuples of classes (WL).  The
+  multiset fold computes each column's k-tuples whole and writes it once.
+  Colours are ranked jointly to dense ints first, so any int is a colour.
 * ``ck_equivalent_game``: the bijective k-pebble game (k = 2, 3) solved
   outright at tiny scale: a position of k-1 pebbles lives while its live
   extensions admit a perfect matching.  The 3-pebble solver solves only the
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -50,11 +56,20 @@ def _norm_colors(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[int]:
     return list(colors)
 
 
-def _rank_rows(rows: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense ids shared by the rows of both graphs: equal rows, equal ids.
+def _joint_colors(g1: BaseGraph, g2: BaseGraph, colors1: Optional[Sequence[int]],
+                  colors2: Optional[Sequence[int]]) -> np.ndarray:
+    """Both graphs' colours over one index space (graph 1's vertices, then
+    graph 2's), ranked to dense ints in their order, so any int fits."""
+    joint = _norm_colors(g1, colors1) + _norm_colors(g2, colors2)
+    rank = {c: i for i, c in enumerate(sorted(set(joint)))}
+    return np.array([rank[c] for c in joint], dtype=np.int64)
 
-    ``rows`` stacks graph 1's rows (the first ``split``) over graph 2's;
-    column-major rows keep every lexsort key contiguous."""
+
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the rows, equal rows, equal ids; and how many there are.
+
+    Callers stack both graphs' rows to share the ids; column-major rows keep
+    every lexsort key contiguous."""
     order = np.lexsort(rows.T)
     new = np.zeros(len(rows), dtype=bool)  # sorted row differs from its predecessor
     for col in rows.T:
@@ -62,18 +77,18 @@ def _rank_rows(rows: np.ndarray, split: int) -> tuple[np.ndarray, np.ndarray, in
         new[1:] |= ranked[1:] != ranked[:-1]
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(new)
-    return ids[:split], ids[split:], int(new.sum()) + 1
+    return ids, int(new.sum()) + 1
 
 
-def _atomic_rows(g: BaseGraph, colors: list[int], k: int) -> np.ndarray:
-    """Atomic-type signature of every k-tuple: coordinate colors plus the
-    equality/adjacency pattern of every coordinate pair."""
+def _atomic_rows(g: BaseGraph, col: np.ndarray, k: int) -> np.ndarray:
+    """Atomic-type signature of every k-tuple: coordinate colors (``col``,
+    ranked by ``_joint_colors``) plus the equality/adjacency pattern of every
+    coordinate pair."""
     n = g.n
     rel = np.full((n, n), 0, dtype=np.int64)
     for u, v in g.edges:
         rel[u, v] = rel[v, u] = 1
     np.fill_diagonal(rel, 2)
-    col = np.asarray(colors, dtype=np.int64)
     idx = np.arange(n ** k)
     digits = [(idx // n ** i) % n for i in range(k)]
     cols = [col[d] for d in digits]
@@ -97,9 +112,10 @@ def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
     if (g1.n ** k + g2.n ** k) * (1 + blocks * width) > ROW_CELL_GUARD:
         raise SizeGuardError("row matrix too large for k-tuple refinement")
     split = g1.n ** k
-    C1, C2, count = _rank_rows(np.vstack([
-        _atomic_rows(g1, _norm_colors(g1, colors1), k),
-        _atomic_rows(g2, _norm_colors(g2, colors2), k)]), split)
+    col = _joint_colors(g1, g2, colors1, colors2)
+    ids, count = _rank_rows(np.vstack([_atomic_rows(g1, col[:g1.n], k),
+                                       _atomic_rows(g2, col[g1.n:], k)]))
+    C1, C2 = ids[:split], ids[split:]
     yield C1, C2, count
 
     rows = np.empty((split + g2.n ** k, 1 + blocks * width), dtype=np.int64, order="F")
@@ -125,27 +141,38 @@ def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
                     block.sort(axis=1)
         else:
             folded = [views[0] for _, views, _ in parts]
-            for block in folded:
-                block[...] = 0
-            bound = 1  # every folded value is below it
+
+            def fold(lo: int, hi: int) -> None:
+                """Fold coordinates lo..hi-1 into every column, one write each.
+
+                Over the classes as an n x ... x n array, axis k-1-i holds
+                coordinate i, so substituting w there is a slice of it."""
+                for (n, _, _), block, C in zip(parts, folded, (C1, C2)):
+                    shape = (n,) * k
+                    cube = C.reshape(shape)
+                    for w in range(n):
+                        column = block[:, w].reshape(shape)
+                        e = column if lo else 0
+                        for i in range(lo, hi):
+                            e = e * count + cube[(slice(None),) * (k - 1 - i) + (slice(w, w + 1),)]
+                        column[...] = e
+
+            bound, lo = 1, 0  # every folded value is below bound
             for i in range(k):
                 if bound * count > 2 ** 62:  # re-rank both graphs' values together
+                    fold(lo, i)
                     distinct, inverse = np.unique(
                         np.concatenate([block.ravel() for block in folded]), return_inverse=True)
                     cut = folded[0].size
                     folded[0][...] = inverse[:cut].reshape(folded[0].shape)
                     folded[1][...] = inverse[cut:].reshape(folded[1].shape)
-                    bound = len(distinct)
-                for (n, _, subs), block, C in zip(parts, folded, (C1, C2)):
-                    base, stride = subs[i]
-                    for w in range(n):
-                        e = block[:, w]
-                        e *= count
-                        e += C[base + w * stride]
+                    bound, lo = len(distinct), i
                 bound *= count
+            fold(lo, k)
             for block in folded:
                 block.sort(axis=1)
-        C1, C2, count = _rank_rows(rows, split)
+        ids, count = _rank_rows(rows)
+        C1, C2 = ids[:split], ids[split:]
         yield C1, C2, count
 
 
@@ -184,37 +211,63 @@ def lk_equivalent(g1: BaseGraph, g2: BaseGraph, k: int,
 # -- Weisfeiler-Leman ----------------------------------------------------------
 
 
+_WL1_SLICE = 64  # widest row colour refinement hands to one lexsort
+
+
+def _rank_wide(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """``_rank_rows`` for rows of any width: while they are wider than
+    ``_WL1_SLICE``, each row's slices of that width are ranked as rows of their
+    own and the row becomes its slice ids.  Equal rows keep equal ids and
+    unequal rows unequal ones, at O(size) extra work."""
+    while rows.shape[1] > _WL1_SLICE:
+        m, width = rows.shape
+        padded = np.full((m, -(-width // _WL1_SLICE) * _WL1_SLICE), -1, dtype=np.int64)
+        padded[:, :width] = rows
+        ids, _ = _rank_rows(np.asfortranarray(padded.reshape(-1, _WL1_SLICE)))
+        rows = ids.reshape(m, -1)
+    return _rank_rows(np.asfortranarray(rows))
+
+
 def _wl1_report(g1, g2, colors1, colors2) -> EquivalenceReport:
-    c1 = _norm_colors(g1, colors1)
-    c2 = _norm_colors(g2, colors2)
-    # seed with (degree, color); refine by neighbor multisets
-    table: dict = {}
+    """Colour refinement on both graphs' vertices at once (graph 1's, then
+    graph 2's).  A vertex's row is its class and its neighbours' classes,
+    sorted; rows are ranked per degree group, and the seed class holds the
+    degree, so group ids offset into one class array."""
+    n1, n = g1.n, g1.n + g2.n
+    ends = np.concatenate([
+        np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * len(g.edges))
+        .reshape(-1, 2) + top for g, top in ((g1, 0), (g2, n1))])
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    nbr = np.concatenate([ends[:, 1], ends[:, 0]])[np.argsort(src, kind="stable")]
+    degree = np.bincount(src, minlength=n)
+    first = np.cumsum(degree) - degree  # CSR offsets into nbr
+    by_degree = np.argsort(degree, kind="stable")
+    groups = []  # per degree: its vertices and their neighbour lists
+    for vs in np.split(by_degree, np.flatnonzero(np.diff(degree[by_degree])) + 1):
+        d = degree[vs[0]]
+        groups.append((vs, nbr[first[vs][:, None] + np.arange(d)]))
 
-    def seed(g, c):
-        out = []
-        for v in range(g.n):
-            key = (g.degree(v), c[v])
-            out.append(table.setdefault(key, len(table)))
-        return out
-
-    C1, C2 = seed(g1, c1), seed(g2, c2)
-    rounds = [len(table)]
+    C, count = _rank_rows(np.stack([degree, _joint_colors(g1, g2, colors1, colors2)]).T)
+    rounds = [count]
     while True:
-        table = {}
-
-        def refine(g, C):
-            out = []
-            for v in range(g.n):
-                key = (C[v], tuple(sorted(C[u] for u in g.adjacency[v])))
-                out.append(table.setdefault(key, len(table)))
-            return out
-
-        N1, N2 = refine(g1, C1), refine(g2, C2)
-        if len(table) == rounds[-1]:
+        new = np.empty(n, dtype=np.int64)
+        count = 0
+        for vs, nbrs in groups:
+            rows = np.empty((len(vs), 1 + nbrs.shape[1]), dtype=np.int64, order="F")
+            rows[:, 0] = C[vs]
+            ranked = C[nbrs]
+            ranked.sort(axis=1)
+            rows[:, 1:] = ranked
+            ids, size = _rank_wide(rows)
+            new[vs] = ids + count
+            count += size
+        if count == rounds[-1]:
             break
-        C1, C2 = N1, N2
-        rounds.append(len(table))
-    return EquivalenceReport(Counter(C1) == Counter(C2), tuple(rounds))
+        C = new
+        rounds.append(count)
+    hist1 = np.bincount(C[:n1], minlength=count)
+    return EquivalenceReport(bool(np.array_equal(hist1, np.bincount(C[n1:], minlength=count))),
+                             tuple(rounds))
 
 
 def wl_equivalent_report(g1: BaseGraph, g2: BaseGraph, dim: int,

@@ -11,7 +11,7 @@ which kills the identity fiber and yields a strict homomorphism-count gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .base_graph import BaseGraph, Edge
@@ -53,7 +53,7 @@ def is_homomorphism(f: BaseGraph, h: BaseGraph, mapping: Sequence[int]) -> bool:
     return all(h.has_edge(mapping[u], mapping[v]) for u, v in f.edges)
 
 
-def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[list[set[int]]],
+def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[list[frozenset[int]]],
                 count_only: bool, guard: int):
     """Backtracking over f's vertices in a connectivity-first order."""
     if f.n > guard:
@@ -82,13 +82,12 @@ def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[list[set[int]]],
     def candidates(v: int):
         anchored = [image[u] for u in f.adjacency[v] if image[u] >= 0]
         if not anchored:
-            cands = range(h.n)
-        else:
-            cands = set(h.adjacency[anchored[0]])
-            for img in anchored[1:]:
-                cands &= h.adjacency[img]
+            return range(h.n) if domains is None else sorted(domains[v])
+        cands = set(h.adjacency[anchored[0]])
+        for img in anchored[1:]:
+            cands &= h.adjacency[img]
         if domains is not None:
-            cands = [c for c in cands if c in domains[v]]
+            cands &= domains[v]
         return cands
 
     def extend(idx: int):
@@ -238,11 +237,11 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     return Gf2System(tuple(variables), tuple(equations))
 
 
-def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph,
-                    guard: int = HOM_PATTERN_GUARD) -> int:
-    """Brute-force size of the fiber over g_endo: homomorphisms from the
-    subdivision into the (possibly twisted) CFI graph that project back onto
-    g_endo.  Independent of the linear-system route."""
+@lru_cache(maxsize=8)
+def _fiber_setup(base: BaseGraph,
+                 i: int) -> tuple[BaseGraph, BaseGraph, tuple[frozenset[int], ...]]:
+    """The subdivision, the CFI graph (twisted when i == 1) and the fiber of
+    every subdivision vertex under the projection; built once per (base, i)."""
     c = build_cfi(base)
     if i == 1:
         c = twist(c, base.edges[0])
@@ -250,8 +249,17 @@ def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph,
     fiber_of = [set() for _ in range(sub.graph.n)]
     for idx, target in enumerate(p):
         fiber_of[target].add(idx)
-    domains = [fiber_of[g_endo[alpha]] for alpha in range(sub.graph.n)]
-    return sum(1 for _ in _hom_search(sub.graph, c.graph, domains, False, guard))
+    return sub.graph, c.graph, tuple(frozenset(f) for f in fiber_of)
+
+
+def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph,
+                    guard: int = HOM_PATTERN_GUARD) -> int:
+    """Brute-force size of the fiber over g_endo: homomorphisms from the
+    subdivision into the (possibly twisted) CFI graph that project back onto
+    g_endo.  Independent of the linear-system route."""
+    sub, graph, fiber_of = _fiber_setup(base, i)
+    domains = [fiber_of[g_endo[alpha]] for alpha in range(sub.n)]
+    return _hom_search(sub, graph, domains, True, guard)
 
 
 def hom_gap(base: BaseGraph, guard: int = HOM_PATTERN_GUARD) -> tuple[int, int]:

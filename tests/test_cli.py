@@ -68,6 +68,30 @@ def test_equiv_colored_files(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is False
 
 
+def test_equiv_colors_beyond_int64(tmp_path, capsys):
+    # shifting every colour past int64 keeps which vertices share a colour,
+    # so every verdict and round trace stays as it was
+    shift = 99999999999999999999999
+    files = {}
+    for variant in ("X", "Xtilde"):
+        small = tmp_path / f"{variant}.json"
+        run(capsys, "gen", "P", "3", "--variant", variant, "--relabel-seed", "4",
+            "--out", str(small))
+        doc = json.loads(small.read_text())
+        doc["colors"] = [c + shift for c in doc["colors"]]
+        big = tmp_path / f"{variant}_big.json"
+        big.write_text(json.dumps(doc))
+        files[variant] = small, big
+    for logic, k in (("Ck", 2), ("Ck", 3), ("Lk", 2)):
+        got = []
+        for i in (0, 1):
+            code, out, _ = run(capsys, "equiv", "--logic", logic, "--k", str(k),
+                               str(files["X"][i]), str(files["Xtilde"][i]))
+            assert code == 0, (logic, k, i)
+            got.append(json.loads(out))
+        assert got[0] == got[1], (logic, k)
+
+
 def test_tw(tmp_path, capsys):
     p = tmp_path / "k4.json"
     run(capsys, "gen", "K", "4", "--out", str(p))

@@ -344,8 +344,16 @@ def _relabelled_twist(base, colored, twisted=True):
 
 
 # (base, colored, engine, k) -> (equivalent, rounds); engine "wl" takes dim = k.
-# Computed with the np.unique(axis=0) kernel; the CLI's "rounds" shows these.
+# Computed with the np.unique(axis=0) kernel, and the dim-1 entries with the
+# dict-based colour refinement kept below as naive_wl1; the CLI's "rounds"
+# shows these.
 GOLDEN_ROUNDS = {
+    ("P3", False, "wl", 1): (False, (2, 3, 4, 5, 7, 9, 11, 13, 14)),
+    ("P3", True, "wl", 1): (False, (12, 14, 16, 18, 22, 26, 30, 34, 36)),
+    ("C5", False, "wl", 1): (True, (1,)),
+    ("C5", True, "wl", 1): (True, (15,)),
+    ("K4", False, "wl", 1): (True, (1,)),
+    ("K4", True, "wl", 1): (True, (16,)),
     ("P3", False, "wl", 2): (False, (3, 12, 51)),
     ("P3", False, "lk", 1): (True, (1,)),
     ("P3", False, "lk", 2): (True, (3,)),
@@ -372,6 +380,7 @@ GOLDEN_ROUNDS = {
 
 # graphs of differing sizes: the only inputs whose set/multiset rows are padded
 GOLDEN_ROUNDS_P3_P9 = {
+    ("wl", 1): (False, (2, 3, 5, 7)),
     ("wl", 2): (False, (3, 20)),
     ("lk", 1): (True, (1,)),
     ("lk", 2): (True, (3,)),
@@ -393,6 +402,154 @@ def test_golden_round_traces():
         assert _report(engine, g1, g2, k, c1, c2) == want, (name, colored, engine, k)
     for (engine, k), want in GOLDEN_ROUNDS_P3_P9.items():
         assert _report(engine, bg.path(3), bg.path(9), k) == want, (engine, k)
+
+
+def _random_cubic(n, seed):
+    """A simple, connected 3-regular graph on n vertices from the pairing model."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2]) if u != v}
+        if len(edges) == 3 * n // 2:
+            g = bg.BaseGraph.from_edges(n, edges)
+            if bg.is_connected(g):
+                return g
+
+
+# (base, colored) -> (equivalent, rounds) of colour refinement on CFI graphs of
+# thousands of vertices against the relabelled twist; computed with naive_wl1
+GOLDEN_WL1_LARGE = {
+    ("grid15x15", False): (True, (4, 8, 12, 17, 21, 25, 33, 38, 43, 54, 60, 66, 80,
+                                  87, 94, 111, 119, 127, 147, 148)),
+    ("grid15x15", True): (True, (1065,)),
+    ("cubic100", False): (True, (1,)),
+    ("cubic100", True): (True, (400,)),
+}
+
+
+def test_golden_wl1_large():
+    bases = {"grid15x15": bg.grid(15, 15), "cubic100": _random_cubic(100, 1)}
+    for (name, colored), want in GOLDEN_WL1_LARGE.items():
+        g1, g2, c1, c2 = _relabelled_twist(bases[name], colored)
+        assert _report("wl", g1, g2, 1, c1, c2) == want, (name, colored)
+
+
+def naive_wl1(g1, g2, colors1=None, colors2=None):
+    """Colour refinement with a dict of tuples: seed each vertex with (degree,
+    colour), then refine by (class, sorted neighbour classes) until the shared
+    class count stops growing; equivalent iff the class histograms agree."""
+    c1 = colors1 or [0] * g1.n
+    c2 = colors2 or [0] * g2.n
+    table = {}
+
+    def seed(g, c):
+        return [table.setdefault((g.degree(v), c[v]), len(table)) for v in range(g.n)]
+
+    C1, C2 = seed(g1, c1), seed(g2, c2)
+    rounds = [len(table)]
+    while True:
+        table = {}
+
+        def refine(g, C):
+            return [table.setdefault((C[v], tuple(sorted(C[u] for u in g.adjacency[v]))),
+                                     len(table)) for v in range(g.n)]
+
+        N1, N2 = refine(g1, C1), refine(g2, C2)
+        if len(table) == rounds[-1]:
+            break
+        C1, C2 = N1, N2
+        rounds.append(len(table))
+    return Counter(C1) == Counter(C2), tuple(rounds)
+
+
+# a few colours, some far outside int64
+_PALETTES = (
+    [0], [0, 1], [0, 1, 2],
+    [-2 * 10 ** 25, 2 ** 63, 5, 2 * 10 ** 25], [99999999999999999999999, -1, 2 ** 64],
+)
+
+
+@st.composite
+def wl1_graph_pairs(draw):
+    """Two graphs of 1-12 vertices, or, with a hub of degree above 64, a graph
+    of up to 90 vertices and a relabelled copy with a few edges toggled."""
+    palette = draw(st.sampled_from(_PALETTES))
+
+    def colors(n):
+        return draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+
+    def small():
+        n = draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=len(pairs))) if pairs else []
+        return bg.BaseGraph.from_edges(n, edges)
+
+    if not draw(st.booleans()):
+        g1, g2 = small(), small()
+        return g1, g2, colors(g1.n), colors(g2.n)
+    n = draw(st.integers(66, 90))
+    spokes = draw(st.lists(st.integers(1, n - 1), min_size=65, max_size=n - 1, unique=True))
+    extra = draw(st.lists(st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)), max_size=20))
+    edges = {(0, v) for v in spokes} | {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    g1 = bg.BaseGraph.from_edges(n, edges)
+    c1 = colors(n)
+    toggled = set(edges) ^ {(min(u, v), max(u, v)) for u, v in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)) if u != v}
+    perm = draw(st.permutations(range(n)))
+    g2 = bg.BaseGraph.from_edges(n, toggled).relabel(perm)
+    c2 = [0] * n
+    for v, c in enumerate(c1):
+        c2[perm[v]] = c
+    return g1, g2, c1, c2
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(wl1_graph_pairs())
+def test_wl1_matches_naive(pair):
+    g1, g2, c1, c2 = pair
+    assert _report("wl", g1, g2, 1, c1, c2) == naive_wl1(g1, g2, c1, c2)
+
+
+def test_wl1_hub_memory():
+    # the hub's row has 100,001 entries; one lexsort over them as keys would
+    # take hundreds of MB
+    star = bg.complete_bipartite(1, 100_000)
+    perm = list(range(star.n))
+    random.Random(3).shuffle(perm)
+    copy = star.relabel(perm)
+    tracemalloc.start()
+    try:
+        rep = eqv.wl_equivalent_report(star, copy, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.equivalent, rep.rounds) == (True, (2,))
+    assert peak < 64 << 20
+
+
+def test_wl1_lexsort_keys_stay_narrow(monkeypatch):
+    # a hub of degree 5,000 in each graph: its row of 5,001 classes becomes 79
+    # slice ids, then 2
+    widths = []
+    lexsort = np.lexsort
+
+    def recording(keys):
+        widths.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(eqv.np, "lexsort", recording)
+    star = bg.complete_bipartite(1, 5000)
+    perm = list(range(star.n))
+    random.Random(5).shuffle(perm)
+    leaves = [0] + [v % 3 for v in range(5000)]
+    recolored = [0] * star.n
+    for v, c in enumerate(leaves):
+        recolored[perm[v]] = c
+    rep = eqv.wl_equivalent_report(star, star.relabel(perm), 1, leaves, recolored)
+    assert (rep.equivalent, rep.rounds) == naive_wl1(star, star.relabel(perm), leaves, recolored)
+    assert 0 < max(widths) <= 65
 
 
 def test_wl_dim4_folds_past_62_bits():
