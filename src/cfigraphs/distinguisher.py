@@ -22,10 +22,13 @@ The route for inputs of maximum degree >= 3:
      known link pairs: the two external endpoints of a known pair form the
      next pair, their fresh neighbors are the next middle set, and the middle
      count (1 or 2) reveals the base degree.
-  4. Picking the first vertex of each twin pair (in input order) as the "a"
-     side gives a tentative orientation; a parity count against one middle
-     vertex per gadget corrects each gadget to an even flip set, and then the
-     parity of crossed pairs across base edges decides original vs twisted.
+  4. The first vertex of each twin pair is the tentative "a" side; where one
+     middle touches an odd number of a gadget's representatives, one pair's
+     representative switches, so every gadget's flip set is even.  The base
+     edges whose representatives are not adjacent form a twist set T, and the
+     representatives, twins and middles map onto the CFI graph of the
+     recovered base with twist set T.  The verdict is |T| mod 2, returned
+     only once that map is checked to be an isomorphism.
 
 Inputs of maximum degree <= 2 are settled directly from the component shapes
 of the path/cycle catalogue.
@@ -35,8 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import cfi
 from .base_graph import BaseGraph, classify_linear, cycle, is_connected, path
 from .errors import StructureError
+from .gadget import MAX_GADGET_DEGREE
 
 
 def short_cycles(g: BaseGraph, max_len: int = 8) -> list[tuple[int, ...]]:
@@ -151,8 +156,8 @@ def _gadget_size_to_degree(size: int) -> int:
     d = 3
     while 2 * d + (1 << (d - 1)) < size:
         d += 1
-    if 2 * d + (1 << (d - 1)) != size:
-        raise StructureError(f"no gadget of a degree >= 3 base vertex has {size} vertices")
+    if d > MAX_GADGET_DEGREE or 2 * d + (1 << (d - 1)) != size:
+        raise StructureError(f"no gadget of base degree 3..{MAX_GADGET_DEGREE} has {size} vertices")
     return d
 
 
@@ -182,8 +187,6 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
     for u, v in short_cycle_edges(g):
         cyclic.update((u, v))
         uf.union(u, v)
-    if not cyclic:
-        raise StructureError("no short cycles found; no gadget of base degree >= 3 present")
 
     classes: dict[int, set[int]] = {}
     for v in cyclic:
@@ -207,16 +210,8 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         d = _gadget_size_to_degree(len(verts))
         links = sorted(v for v in verts if any(w not in verts for w in g.adjacency[v]))
         middles = verts - set(links)
-        if len(links) != 2 * d or len(middles) != (1 << (d - 1)):
-            raise StructureError(
-                f"gadget candidate has {len(links)} link and {len(middles)} middle vertices, "
-                f"inconsistent with degree {d}")
-        for x in links:
-            if sum(1 for w in g.adjacency[x] if w not in verts) != 1:
-                raise StructureError(f"link vertex {x} does not have exactly one external edge")
-        for m in middles:
-            if not set(g.adjacency[m]) <= verts:
-                raise StructureError(f"middle vertex {m} has an external edge")
+        if len(links) != 2 * d:
+            raise StructureError(f"gadget candidate has {len(links)} link vertices, not {2 * d}")
         pairs = _twin_pairs_by_complement(g, links, frozenset(middles))
         add_gadget(verts, d, pairs, middles)
 
@@ -232,28 +227,21 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             ext.append(outside[0])
         y1, y2 = ext
         if y1 in assignment or y2 in assignment:
-            if y1 not in assignment or y2 not in assignment or assignment[y1] != assignment[y2]:
-                raise StructureError("cross edges of a link pair do not meet a single gadget")
-            opp = gadgets[assignment[y1]]
-            if (min(y1, y2), max(y1, y2)) not in opp.pairs:
-                raise StructureError("cross edges do not land on a twin pair")
+            landing = (min(y1, y2), max(y1, y2))
+            if y2 not in assignment or landing not in gadgets[assignment[y2]].pairs:
+                raise StructureError("cross edges of a link pair do not land on a twin pair")
             continue
         if y1 == y2:
             raise StructureError("link pair collapses onto one external vertex")
-        assigned = set(assignment)
         new_pair = (min(y1, y2), max(y1, y2))
-        middles = (set(g.adjacency[y1]) | set(g.adjacency[y2])) - assigned - {y1, y2}
+        middles = (g.adjacency[y1] | g.adjacency[y2]) - set(assignment) - {y1, y2}
         if len(middles) == 1:
-            verts = frozenset({y1, y2} | middles)
-            degs = sorted(g.degree(y) for y in (y1, y2))
-            if degs != [1, 2]:
-                raise StructureError("degree-1 gadget link pair has unexpected degrees")
-            add_gadget(verts, 1, [new_pair], middles)
+            add_gadget(frozenset({y1, y2} | middles), 1, [new_pair], middles)
         elif len(middles) == 2:
             other = set()
             for m in middles:
                 other.update(w for w in g.adjacency[m] if w not in (y1, y2))
-            if other & assigned or len(other) != 2:
+            if len(other) != 2:
                 raise StructureError("degree-2 gadget does not close on a second link pair")
             o1, o2 = sorted(other)
             verts = frozenset({y1, y2, o1, o2} | middles)
@@ -284,57 +272,50 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
                 raise StructureError("twin pair loops back to its own gadget")
             pair_to_gadget[pair] = opp
             base_edges.add((min(gid, opp), max(gid, opp)))
-    for gid, gad in enumerate(gadgets):
-        if len(gad.pairs) != gad.degree:
-            raise StructureError("pair count disagrees with gadget degree")
     base = BaseGraph.from_edges(len(gadgets), base_edges)
     if not is_connected(base):
         raise StructureError("recovered base graph is not connected")
-    for gid, gad in enumerate(gadgets):
-        if base.degree(gid) != gad.degree:
-            raise StructureError("recovered base degree disagrees with gadget degree")
     return GadgetDecomposition(gadgets, assignment, base, pair_to_gadget)
 
 
 def orientation_parity(g: BaseGraph, dec: GadgetDecomposition) -> str:
-    """Parity of crossed link pairs after normalizing each gadget.
+    """Twist parity of g, certified by an isomorphism onto the CFI graph of
+    dec.base with that parity.
 
-    Representatives start as the first vertex of each twin pair in input
-    order (for degree-1 gadgets, the vertex of degree 1).  The membership
-    count of the representatives in one middle vertex has the parity of the
-    tentative flip set, so an odd gadget is corrected by switching the
-    representative of the pair whose representative comes last.
+    The first vertex of each twin pair represents a(u,v) and the other
+    b(u,v).  The number of representatives adjacent to one middle has the
+    parity of the gadget's tentative flip set, so an odd gadget switches its
+    first pair's representative.  T is the set of base edges whose
+    representatives are not adjacent.  Representatives and twins map onto
+    a(u,v) and b(u,v) of ``cfi._build(dec.base, False, T)``, and each middle
+    onto the middle whose mask is the set of pairs whose representative it
+    touches; a map that is not an isomorphism raises StructureError.
     """
-    rep: dict[tuple[int, int], int] = {}
-    for gad in dec.gadgets:
-        if gad.degree == 1:
-            (pair,) = gad.pairs
-            deg1 = [x for x in pair if g.degree(x) == 1]
-            if len(deg1) != 1:
-                raise StructureError("degree-1 gadget pair lacks a degree-1 vertex")
-            rep[pair] = deg1[0]
-            continue
-        choice = {pair: pair[0] for pair in gad.pairs}
+    oriented: dict[tuple[int, int], tuple[int, int]] = {}  # (u, v) -> (a(u,v), b(u,v))
+    for u, gad in enumerate(dec.gadgets):
         m0 = min(gad.middles)
-        hits = sum(1 for pair in gad.pairs if g.has_edge(choice[pair], m0))
-        if hits % 2 == 1:
-            last = max(gad.pairs, key=lambda pair: choice[pair])
-            choice[last] = last[1] if choice[last] == last[0] else last[0]
-        rep.update(choice)
+        odd = sum(1 for x, _ in gad.pairs if g.has_edge(x, m0)) % 2
+        for k, pair in enumerate(gad.pairs):
+            oriented[u, dec.pair_to_gadget[pair]] = pair[::-1] if odd and k == 0 else pair
+    twist = frozenset((u, v) for u, v in dec.base.edges
+                      if not g.has_edge(oriented[u, v][0], oriented[v, u][0]))
 
-    crossed = 0
-    seen = set()
-    for pair, opp_gid in dec.pair_to_gadget.items():
-        gid = dec.assignment[pair[0]]
-        if (opp_gid, gid) in seen:
-            continue
-        seen.add((gid, opp_gid))
-        opp_pair = next(
-            p for p in dec.gadgets[opp_gid].pairs if dec.pair_to_gadget[p] == gid
-        )
-        if not g.has_edge(rep[pair], rep[opp_pair]):
-            crossed += 1
-    return "even" if crossed % 2 == 0 else "odd"
+    h = cfi._build(dec.base, False, twist)
+    phi = [-1] * g.n
+    for (u, v), (a, b) in oriented.items():
+        phi[a], phi[b] = h.link_index(u, v, "a"), h.link_index(u, v, "b")
+    for u, gad in enumerate(dec.gadgets):
+        off, d = h.offsets[u], h.blocks[u].d
+        for m in gad.middles:
+            # the a(u,v) among m's neighbours are the representatives it touches
+            mask = sum(1 << (phi[x] - off) for x in g.adjacency[m] if off <= phi[x] < off + d)
+            phi[m] = off + 2 * d + (mask >> 1)
+    # for a bijection phi, equal sorted edge lists mean equal edge counts and
+    # every edge of g mapped onto an edge of h
+    mapped = sorted((p, q) if p < q else (q, p) for p, q in ((phi[x], phi[y]) for x, y in g.edges))
+    if sorted(phi) != list(range(h.n)) or mapped != list(h.edges):
+        raise StructureError("the input is not isomorphic to the CFI graph of its recovered base")
+    return "even" if len(twist) % 2 == 0 else "odd"
 
 
 @dataclass(frozen=True)

@@ -485,11 +485,8 @@ def ck_equivalent_game(g1: BaseGraph, g2: BaseGraph, k: int,
         return False
     if g1.n ** (2 * (k - 1)) > CK_STATE_GUARD:
         raise SizeGuardError("position space too large for the game oracle")
-    c1 = _norm_colors(g1, colors1)
-    c2 = _norm_colors(g2, colors2)
-    shared = {c: i for i, c in enumerate(sorted(set(c1) | set(c2)))}
-    c1 = [shared[c] for c in c1]
-    c2 = [shared[c] for c in c2]
+    joint = _joint_colors(g1, g2, colors1, colors2).tolist()
+    c1, c2 = joint[:g1.n], joint[g1.n:]
     if k == 2:
         return _ck_game_2(g1, g2, c1, c2)
     return _ck_game_3(g1, g2, c1, c2)

@@ -39,10 +39,6 @@ class Gadget:
     middles: tuple[int, ...]   # even masks, ascending; vertex 2d+rank
     graph: BaseGraph
 
-    @property
-    def link_count(self) -> int:
-        return 2 * self.d
-
     def middle_vertex(self, mask: int) -> int:
         # the even masks ascending take one of each pair {2k, 2k+1}, so rank = mask >> 1
         if not 0 <= mask < 1 << self.d or bin(mask).count("1") % 2 != 0:

@@ -27,17 +27,16 @@ class Subdivision2:
     graph: BaseGraph
     w_index: dict  # (u, v) -> subdivision vertex carrying the u-side of edge uv
 
-    def w_name(self, vertex: int) -> Optional[tuple[int, int]]:
-        """Inverse of w_index for subdivision vertices; None on original vertices."""
-        return self.w_of.get(vertex)
-
     @cached_property
     def w_of(self) -> dict:
         return {idx: pair for pair, idx in self.w_index.items()}
 
 
+@lru_cache(maxsize=8)
 def subdivide2(g: BaseGraph) -> Subdivision2:
-    """Replace every edge uv by the length-3 path u, w(u,v), w(v,u), v."""
+    """Replace every edge uv by the length-3 path u, w(u,v), w(v,u), v.
+
+    Cached per base: callers share the result and must not mutate it."""
     w_index = {}
     edges = []
     nxt = g.n

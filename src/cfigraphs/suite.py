@@ -319,7 +319,3 @@ def run_check(check_id: str, seed: int = 20240) -> CheckResult:
     details = CHECKS[check_id](seed)
     passed = details.pop("passed")
     return CheckResult(check_id, passed, round(time.perf_counter() - t0, 2), details)
-
-
-def run_all(seed: int = 20240) -> list[CheckResult]:
-    return [run_check(check_id, seed) for check_id in CHECKS]

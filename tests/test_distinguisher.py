@@ -2,11 +2,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfigraphs import base_graph as bg
-from cfigraphs import cfi, iso
+from cfigraphs import cfi, cli, iso
 from cfigraphs import distinguisher as dg
 from cfigraphs.errors import StructureError
 
@@ -259,3 +259,103 @@ def test_distinguish_at_scale(base):
         assert v.twisted == twisted
         assert (v.base.n, len(v.base.edges)) == (base.n, len(base.edges))
         assert Counter(v.base.degree(u) for u in range(v.base.n)) == degrees
+
+
+# K4 with edge 0-1 replaced by the path 0-4-5-1
+K4_SUBDIVIDED = bg.BaseGraph.from_edges(
+    6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 1)])
+
+
+def forgery(build):
+    """Y or Ytilde over K4_SUBDIVIDED with gadget 4's middles rewired: +4
+    joins a(4,0), a(4,5) and b(4,5), and +5 joins b(4,0) alone.  Every CFI
+    graph over that base has minimum degree 2; this one has a vertex of
+    degree 1, so it is isomorphic to neither."""
+    c = build(K4_SUBDIVIDED)
+    off = c.offsets[4]
+    internal = {(off + x, off + y) for x, y in c.blocks[4].graph.edges}
+    rewired = [(off + 4, off), (off + 4, off + 1), (off + 4, off + 3), (off + 5, off + 2)]
+    return bg.BaseGraph.from_edges(c.n, [e for e in c.edges if e not in internal] + rewired)
+
+
+@pytest.mark.parametrize("build", [cfi.build_cfi, cfi.build_tilde], ids=["Y", "Ytilde"])
+@pytest.mark.parametrize("seed", range(8))
+def test_forgery_is_rejected(build, seed):
+    g = forgery(build)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    with pytest.raises(StructureError):
+        dg.distinguish(g.relabel(perm))
+
+
+@pytest.mark.parametrize("build", [cfi.build_cfi, cfi.build_tilde], ids=["Y", "Ytilde"])
+def test_forgery_exits_2_from_cli(build, tmp_path, capsys):
+    g = forgery(build)
+    perm = list(range(g.n))
+    random.Random(0).shuffle(perm)
+    p = tmp_path / "forgery.json"
+    p.write_bytes(bg.write_graph(g.relabel(perm), "json"))
+    code = cli.main(["distinguish", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
+
+
+MUTATION_BASES = [
+    bg.complete(4),
+    bg.complete_bipartite(1, 3),
+    bg.BaseGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),  # triangle, pendant path
+    K4_SUBDIVIDED,
+]
+
+
+def _mutate(n, edges, kind, i, j):
+    """One edge deletion, addition, rewiring or degree-preserving swap; i and j
+    pick the edges and vertices involved, modulo the candidates."""
+    edges = set(edges)
+    el = sorted(edges)
+    if kind == "delete":
+        edges.remove(el[i % len(el)])
+    elif kind == "add":
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        edges.add(absent[i % len(absent)])
+    elif kind == "rewire":  # keep one endpoint, move the other
+        u, v = el[i % len(el)]
+        if j % 2:
+            u, v = v, u
+        ws = [w for w in range(n) if w not in (u, v) and (min(u, w), max(u, w)) not in edges]
+        w = ws[j // 2 % len(ws)]
+        edges.remove((min(u, v), max(u, v)))
+        edges.add((min(u, w), max(u, w)))
+    else:  # ab, cd -> ac, bd
+        swaps = [((a, b), (c, d)) for a, b in el for c, d in el + [e[::-1] for e in el]
+                 if len({a, b, c, d}) == 4 and (min(a, c), max(a, c)) not in edges
+                 and (min(b, d), max(b, d)) not in edges]
+        (a, b), (c, d) = swaps[i % len(swaps)]
+        edges -= {(a, b), (min(c, d), max(c, d))}
+        edges |= {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+    return edges
+
+
+mutations = st.lists(st.tuples(st.sampled_from(["delete", "add", "rewire", "swap"]),
+                               st.integers(0, 10**6), st.integers(0, 10**6)),
+                     min_size=1, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(MUTATION_BASES) - 1), st.booleans(), mutations, st.integers(0, 10**6))
+# an added edge that got "original" before the verdict was certified
+@example(0, False, [("add", 536321, 903698)], 453079)
+def test_mutated_cfi_graphs_get_certified_verdicts(which, twisted, muts, seed):
+    c = (cfi.build_tilde if twisted else cfi.build_cfi)(MUTATION_BASES[which])
+    edges = c.edges
+    for kind, i, j in muts:
+        edges = _mutate(c.n, edges, kind, i, j)
+    perm = list(range(c.n))
+    random.Random(seed).shuffle(perm)
+    g = bg.BaseGraph.from_edges(c.n, edges).relabel(perm)
+    try:
+        v = dg.distinguish(g)
+    except StructureError:
+        return
+    named = (cfi.build_tilde if v.twisted else cfi.build_cfi)(v.base)
+    assert iso.find_isomorphism(g, named.graph, guard=max(g.n, named.n)) is not None
