@@ -6,6 +6,9 @@ base vertex) splits Hom(subdivision, CFI graph) into fibers over the
 endomorphisms of the subdivision, and each fiber is the solution set of a
 linear system over GF(2).  The twisted companion flips one right-hand side,
 which kills the identity fiber and yields a strict homomorphism-count gap.
+
+Both routes run on integer bitmasks: the backtracking search intersects
+adjacency rows of the target, and GF(2) elimination XORs equation rows.
 """
 
 from __future__ import annotations
@@ -52,9 +55,13 @@ def is_homomorphism(f: BaseGraph, h: BaseGraph, mapping: Sequence[int]) -> bool:
     return all(h.has_edge(mapping[u], mapping[v]) for u, v in f.edges)
 
 
-def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[list[frozenset[int]]],
+def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[Sequence[int]],
                 count_only: bool, guard: int):
-    """Backtracking over f's vertices in a connectivity-first order."""
+    """Backtracking over f's vertices in a connectivity-first order.
+
+    ``domains``, if given, holds a bitmask of allowed images per vertex of f.
+    A vertex's candidates are its domain ANDed with the adjacency bitmasks of
+    the images of its already placed neighbours, tried in ascending order."""
     if f.n > guard:
         raise SizeGuardError(f"pattern graphs guarded at {guard} vertices")
     order = []
@@ -67,39 +74,42 @@ def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[list[frozenset[int
         order.append(start)
         i = 0
         while i < len(comp):
-            for w in sorted(f.adjacency[comp[i]]):
+            for w in f.sorted_adjacency[comp[i]]:
                 if not placed[w]:
                     placed[w] = True
                     comp.append(w)
                     order.append(w)
             i += 1
 
+    adj_h = h.adjacency_bits
+    full = (1 << h.n) - 1
+    dom = [full] * f.n if domains is None else list(domains)
+    position = {v: idx for idx, v in enumerate(order)}
+    anchors = [[u for u in f.sorted_adjacency[v] if position[u] < idx]
+               for idx, v in enumerate(order)]
+    last = f.n - 1
     image = [-1] * f.n
     results: list[tuple[int, ...]] = []
     count = 0
 
-    def candidates(v: int):
-        anchored = [image[u] for u in f.adjacency[v] if image[u] >= 0]
-        if not anchored:
-            return range(h.n) if domains is None else sorted(domains[v])
-        cands = set(h.adjacency[anchored[0]])
-        for img in anchored[1:]:
-            cands &= h.adjacency[img]
-        if domains is not None:
-            cands &= domains[v]
-        return cands
-
     def extend(idx: int):
         nonlocal count
-        if idx == f.n:
-            count += 1
-            if not count_only:
-                results.append(tuple(image))
-            return
         v = order[idx]
-        for c in candidates(v):
-            image[v] = c
-            extend(idx + 1)
+        cands = dom[v]
+        for u in anchors[idx]:
+            cands &= adj_h[image[u]]
+        if idx == last and count_only:
+            count += cands.bit_count()
+            return
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            image[v] = low.bit_length() - 1
+            if idx == last:
+                count += 1
+                results.append(tuple(image))
+            else:
+                extend(idx + 1)
         image[v] = -1
 
     extend(0)
@@ -113,6 +123,10 @@ def hom_count(f: BaseGraph, h: BaseGraph, guard: int = HOM_PATTERN_GUARD) -> int
 
 def enumerate_homomorphisms(f: BaseGraph, h: BaseGraph,
                             guard: int = HOM_PATTERN_GUARD) -> list[tuple[int, ...]]:
+    """Every homomorphism f -> h as an image tuple.  The order is that of the
+    backtracking: f's vertices are placed in a connectivity-first order (BFS
+    from the lowest unplaced vertex, neighbours ascending) and each takes its
+    candidate images in ascending order."""
     return _hom_search(f, h, None, False, guard)
 
 
@@ -147,6 +161,8 @@ class Gf2System:
     equations: tuple[Gf2Equation, ...]
 
     def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("variable names must be distinct")
         used = {v for eq in self.equations for v in eq.variables}
         if used != set(self.variables):
             raise ValueError("every variable must occur in at least one equation")
@@ -161,28 +177,31 @@ class Gf2Count:
 
 
 def gf2_count(system: Gf2System) -> Gf2Count:
-    """Number of solutions: 0 if inconsistent, else 2^(#variables - rank)."""
+    """Number of solutions: 0 if inconsistent, else 2^(#variables - rank).
+
+    Each equation is a bitmask row (bit j for variable j, bit #variables for
+    the right-hand side), reduced against pivot rows keyed by their lowest
+    set bit; a row that reduces to its right-hand side alone is 0 = 1."""
     var_pos = {v: i for i, v in enumerate(system.variables)}
     nvars = len(system.variables)
-    rows = []
+    rhs_bit = 1 << nvars
+    pivots: dict[int, int] = {}
     for eq in system.equations:
         row = eq.rhs << nvars
         for v in eq.variables:
             row ^= 1 << var_pos[v]
-        rows.append(row)
-    rank = 0
-    for col in range(nvars):
-        pivot = next((i for i in range(rank, len(rows)) if (rows[i] >> col) & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    if any(row == 1 << nvars for row in rows):
-        return Gf2Count(0, None)
-    return Gf2Count(1 << (nvars - rank), nvars - rank)
+        while row & (rhs_bit - 1):
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+        else:
+            if row:
+                return Gf2Count(0, None)
+    free = nvars - len(pivots)
+    return Gf2Count(1 << free, free)
 
 
 def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
@@ -202,22 +221,20 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     if twisted_edge is None:
         twisted_edge = base.edges[0]
     twisted_edge = (min(twisted_edge), max(twisted_edge))
+    if twisted_edge not in base.edge_set:
+        raise ValueError(f"twisted edge {twisted_edge} is not an edge of the base")
     w_of = sub.w_of
 
     variables: list[str] = []
-    for alpha in range(sub.graph.n):
-        img = g_endo[alpha]
-        if img < base.n:
-            variables.extend(f"x[{alpha},{u}]" for u in base.sorted_adjacency[img])
-        else:
-            variables.append(f"x[{alpha}]")
-
     equations: list[Gf2Equation] = []
     for alpha in range(sub.graph.n):
         img = g_endo[alpha]
         if img < base.n:
             vs = tuple(f"x[{alpha},{u}]" for u in base.sorted_adjacency[img])
+            variables.extend(vs)
             equations.append(Gf2Equation(vs, 0, "gadget-parity"))
+        else:
+            variables.append(f"x[{alpha}]")
     for a, b in sub.graph.edges:
         for alpha, beta in ((a, b), (b, a)):
             img_a, img_b = g_endo[alpha], g_endo[beta]
@@ -237,18 +254,18 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
 
 
 @lru_cache(maxsize=8)
-def _fiber_setup(base: BaseGraph,
-                 i: int) -> tuple[BaseGraph, BaseGraph, tuple[frozenset[int], ...]]:
+def _fiber_setup(base: BaseGraph, i: int) -> tuple[BaseGraph, BaseGraph, tuple[int, ...]]:
     """The subdivision, the CFI graph (twisted when i == 1) and the fiber of
-    every subdivision vertex under the projection; built once per (base, i)."""
+    every subdivision vertex under the projection, as a vertex bitmask of the
+    CFI graph; built once per (base, i)."""
     c = build_cfi(base)
     if i == 1:
         c = twist(c, base.edges[0])
     p, sub = projection(c)
-    fiber_of = [set() for _ in range(sub.graph.n)]
+    fiber_of = [0] * sub.graph.n
     for idx, target in enumerate(p):
-        fiber_of[target].add(idx)
-    return sub.graph, c.graph, tuple(frozenset(f) for f in fiber_of)
+        fiber_of[target] |= 1 << idx
+    return sub.graph, c.graph, tuple(fiber_of)
 
 
 def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph,

@@ -3,7 +3,10 @@
 This is the desk-scale oracle: it either returns a verified map or certifies
 absence by exhausting the pruned search space.  Candidate pruning uses the
 signature (color, degree, sorted neighbor (degree, color) multiset); the
-search extends the most constrained vertex first.
+search extends the most constrained vertex first (fewest candidates, then
+most mapped neighbours, then lowest index).  Candidate sets are integer
+bitmasks over the second graph's vertices, narrowed after each choice v -> w
+by w's adjacency row or its complement.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ def _search(
     colors1: Optional[Sequence[int]],
     colors2: Optional[Sequence[int]],
     find_all: bool,
-    cap: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     n = g1.n
     if n != g2.n or len(g1.edges) != len(g2.edges):
@@ -45,58 +47,62 @@ def _search(
 
     adj1 = g1.adjacency_bits
     adj2 = g2.adjacency_bits
+    nbrs1 = g1.sorted_adjacency
     full = (1 << n) - 1
     sig_mask: dict[tuple, int] = {}
     for w, s in enumerate(sig2):
         sig_mask[s] = sig_mask.get(s, 0) | (1 << w)
 
     cand = [sig_mask[s] for s in sig1]
+    mapped_nbrs = [0] * n  # neighbours of each vertex mapped so far
     mapping = [-1] * n
     found: list[tuple[int, ...]] = []
 
-    def pick() -> int:
-        # most constrained first: fewest candidates, then most mapped neighbors
-        best, best_key = -1, None
-        for v in range(n):
-            if mapping[v] >= 0:
-                continue
-            nc = bin(cand[v]).count("1")
-            mapped_nbrs = sum(1 for u in g1.adjacency[v] if mapping[u] >= 0)
-            key = (nc, -mapped_nbrs, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+    def pick(free: list[int]) -> int:
+        # most constrained first: key (candidates, -mapped neighbours, v)
+        best, best_nc, best_nb = -1, n + 1, -1
+        for v in free:
+            nc = cand[v].bit_count()
+            if nc < best_nc or (nc == best_nc and mapped_nbrs[v] > best_nb):
+                best, best_nc, best_nb = v, nc, mapped_nbrs[v]
         return best
 
-    def extend(depth: int) -> bool:
-        if depth == n:
+    def extend(free: list[int]) -> bool:
+        if not free:
             found.append(tuple(mapping))
-            return not find_all or (cap is not None and len(found) >= cap)
-        v = pick()
+            return not find_all
+        v = pick(free)
+        rest = [u for u in free if u != v]
+        adj_v = adj1[v]
+        for u in nbrs1[v]:
+            mapped_nbrs[u] += 1
         choices = cand[v]
         while choices:
-            w = (choices & -choices).bit_length() - 1
-            choices &= choices - 1
+            low = choices & -choices
+            choices ^= low
+            w = low.bit_length() - 1
+            # images of v's neighbours must be w's neighbours, and of the
+            # other vertices its non-neighbours; no vertex but v maps to w
+            inside = adj2[w]
+            outside = full & ~inside & ~low
             saved = cand[:]
             mapping[v] = w
             ok = True
-            for u in range(n):
-                if mapping[u] >= 0 or u == v:
-                    continue
-                if (adj1[v] >> u) & 1:
-                    cand[u] &= adj2[w]
-                else:
-                    cand[u] &= full & ~adj2[w]
-                cand[u] &= full & ~(1 << w)
-                if cand[u] == 0:
+            for u in rest:
+                c = cand[u] & (inside if (adj_v >> u) & 1 else outside)
+                if not c:
                     ok = False
                     break
-            if ok and extend(depth + 1):
+                cand[u] = c
+            if ok and extend(rest):
                 return True
-            mapping[v] = -1
             cand[:] = saved
+        mapping[v] = -1
+        for u in nbrs1[v]:
+            mapped_nbrs[u] -= 1
         return False
 
-    extend(0)
+    extend(list(range(n)))
     return found
 
 

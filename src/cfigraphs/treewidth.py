@@ -164,10 +164,13 @@ def treewidth_exact(g: BaseGraph) -> tuple[int, TreeDecomposition]:
 def robber_wins(g: BaseGraph, k: int) -> bool:
     """Whether the robber evades k cops forever.
 
-    Positions are (occupied cop set, robber component of the rest); the
-    moving cop is lifted before the robber runs.  Solved by backward
-    induction: a position is lost for the robber once some cop move leaves
-    no surviving reply, and the loss propagates by reverse edges.
+    Positions are (occupied cop set, robber component of the rest), both as
+    vertex bitmasks; the moving cop is lifted before the robber runs.  Solved
+    by backward induction: a position is lost for the robber once some cop
+    move leaves no surviving reply, and the loss propagates by reverse edges.
+    A cop move, (new cop set, region the robber may run through), is one
+    node shared by every position that can make it, with one counter of its
+    surviving replies.
     """
     if k < 1:
         raise ValueError("need at least one cop")
@@ -176,77 +179,98 @@ def robber_wins(g: BaseGraph, k: int) -> bool:
     if g.n > TW_SIZE_GUARD:
         raise SizeGuardError(f"game solver guarded at {TW_SIZE_GUARD} vertices")
 
-    comp_cache: dict[frozenset[int], list[frozenset[int]]] = {}
+    n = g.n
+    adj = g.adjacency_bits
+    full = (1 << n) - 1
+    comp_cache: dict[int, list[int]] = {}
 
-    def comps(blocked: frozenset[int]) -> list[frozenset[int]]:
-        if blocked in comp_cache:
-            return comp_cache[blocked]
-        seenv = set(blocked)
+    def comps(blocked: int) -> list[int]:
+        """Components of g minus the blocked vertices, by lowest vertex."""
+        out = comp_cache.get(blocked)
+        if out is not None:
+            return out
         out = []
-        for s in range(g.n):
-            if s in seenv:
-                continue
-            comp = {s}
-            seenv.add(s)
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in g.adjacency[u]:
-                    if w not in seenv:
-                        seenv.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            out.append(frozenset(comp))
+        rest = full & ~blocked
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= adj[low.bit_length() - 1]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            out.append(comp)
+            rest &= ~comp
         comp_cache[blocked] = out
         return out
 
-    State = tuple[frozenset[int], frozenset[int]]
-    states: list[State] = []
+    # state ids, keyed by cops << n | region
+    index: dict[int, int] = {}
+    states: list[tuple[int, int]] = []
     for size in range(1, k + 1):
-        for cops in combinations(range(g.n), size):
-            s = frozenset(cops)
-            for c in comps(s):
-                states.append((s, c))
-    alive = set(states)
+        for cops in combinations(range(n), size):
+            mask = sum(1 << c for c in cops)
+            for region in comps(mask):
+                index[mask << n | region] = len(states)
+                states.append((mask, region))
 
-    # move list per state: (lifted-set F, destination v') -> surviving replies
-    moves: dict[State, list[list[State]]] = {}
-    preds: dict[State, list[tuple[State, int]]] = {s: [] for s in states}
-    for st in states:
-        cops, region = st
-        lift_options = {cops - {c} for c in cops}
-        if len(cops) < k:
-            lift_options.add(cops)
-        mv = []
-        for f in lift_options:
-            run = next(d for d in comps(f) if region <= d)
-            for dest in range(g.n):
-                new_cops = f | {dest}
-                # the robber runs anywhere in `run` before the cop lands
-                replies = [(new_cops, c2) for c2 in comps(new_cops) if c2 <= run]
-                mv.append(replies)
-        moves[st] = mv
-        for i, replies in enumerate(mv):
-            for r in replies:
-                preds[r].append((st, i))
+    # move ids, keyed by new cops << n | run
+    move_index: dict[int, int] = {}
+    live: list[int] = []
+    owners: list[list[int]] = []
+    preds: list[list[int]] = [[] for _ in states]
+    for st, (cops, region) in enumerate(states):
+        lifts = []
+        m = cops
+        while m:
+            low = m & -m
+            m ^= low
+            lifts.append(cops ^ low)
+        if cops.bit_count() < k:
+            lifts.append(cops)
+        for lifted in lifts:
+            run = next(d for d in comps(lifted) if region & ~d == 0)
+            for dest in range(n):
+                new_cops = lifted | (1 << dest)
+                key = new_cops << n | run
+                move = move_index.get(key)
+                if move is None:
+                    move = move_index[key] = len(live)
+                    # the robber runs anywhere in `run` before the cop lands
+                    replies = [index[new_cops << n | c]
+                               for c in comps(new_cops) if c & ~run == 0]
+                    live.append(len(replies))
+                    owners.append([st])
+                    for r in replies:
+                        preds[r].append(move)
+                elif owners[move][-1] != st:
+                    owners[move].append(st)
 
-    live_count = {(st, i): len(rs) for st, mv in moves.items() for i, rs in enumerate(mv)}
-    queue = [st for st, mv in moves.items() if any(len(rs) == 0 for rs in mv)]
-    for st in queue:
-        alive.discard(st)
-    while queue:
-        dead = queue.pop()
-        for st, i in preds[dead]:
-            if st not in alive:
-                continue
-            live_count[(st, i)] -= 1
-            if live_count[(st, i)] == 0:
-                alive.discard(st)
+    alive = [True] * len(states)
+    queue: list[int] = []
+
+    def lose(move: int) -> None:
+        """Every state that can make this move, now without a reply, is lost."""
+        for st in owners[move]:
+            if alive[st]:
+                alive[st] = False
                 queue.append(st)
 
+    for move, count in enumerate(live):
+        if count == 0:
+            lose(move)
+    while queue:
+        dead = queue.pop()
+        for move in preds[dead]:
+            live[move] -= 1
+            if live[move] == 0:
+                lose(move)
+
     return all(
-        any((frozenset({v}), c) in alive for c in comps(frozenset({v})))
-        for v in range(g.n)
+        any(alive[index[(1 << v) << n | c]] for c in comps(1 << v))
+        for v in range(n)
     )
 
 

@@ -1,6 +1,9 @@
 from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfigraphs import base_graph as bg
 from cfigraphs import cfi, homcount as hc
@@ -92,6 +95,23 @@ def test_gf2_count_basics():
         hc.Gf2System(("a", "b"), (hc.Gf2Equation(("a",), 0, "cross-link"),))
 
 
+def test_gf2_system_rejects_duplicate_variables():
+    # a repeated name would count as a second, unconstrained variable
+    with pytest.raises(ValueError):
+        hc.Gf2System(("a", "a"), (hc.Gf2Equation(("a",), 0, "cross-link"),))
+
+
+def test_build_system_rejects_twist_off_the_base():
+    base = bg.path(3)
+    ident = tuple(range(hc.subdivide2(base).graph.n))
+    with pytest.raises(ValueError):
+        hc.build_system(ident, 1, base, twisted_edge=(0, 2))
+    # a real edge, given in either orientation, twists the identity fiber away
+    for edge in ((1, 2), (2, 1)):
+        assert hc.gf2_count(hc.build_system(ident, 1, base, twisted_edge=edge)).count == 0
+    assert hc.hom_fiber_count(ident, 1, base) == 0
+
+
 def test_identity_fiber_counts():
     base = bg.cycle(3)
     sub = hc.subdivide2(base)
@@ -146,3 +166,48 @@ def test_fiber_partition_star_base():
             totals[i] += fiber
     assert tuple(totals) == hc.hom_gap(base)
     assert totals[0] > totals[1]
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return bg.BaseGraph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(5), graphs(6))
+def test_hom_count_matches_all_maps(f, h):
+    want = sum(1 for m in product(range(h.n), repeat=f.n) if hc.is_homomorphism(f, h, m))
+    assert hc.hom_count(f, h) == want
+    homs = hc.enumerate_homomorphisms(f, h)
+    assert len(homs) == want == len(set(homs))
+    assert all(hc.is_homomorphism(f, h, m) for m in homs)
+
+
+@st.composite
+def gf2_systems(draw):
+    nvars = draw(st.integers(1, 10))
+    equations = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars),
+                  st.integers(0, 1)),
+        min_size=1, max_size=12))
+    used = sorted({v for vs, _ in equations for v in vs})
+    return hc.Gf2System(
+        tuple(f"v{v}" for v in used),
+        tuple(hc.Gf2Equation(tuple(f"v{v}" for v in vs), rhs, "cross-link")
+              for vs, rhs in equations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_systems())
+def test_gf2_count_matches_all_assignments(system):
+    want = 0
+    for values in product((0, 1), repeat=len(system.variables)):
+        x = dict(zip(system.variables, values))
+        if all(sum(x[v] for v in eq.variables) % 2 == eq.rhs for eq in system.equations):
+            want += 1
+    got = hc.gf2_count(system)
+    assert got.count == want
+    assert got.free_exponent is None if want == 0 else want == 2 ** got.free_exponent

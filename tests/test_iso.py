@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfigraphs import base_graph as bg
-from cfigraphs import cfi, iso
+from cfigraphs import cfi, gadget, iso
 from cfigraphs.errors import SizeGuardError
 
 
@@ -184,3 +185,84 @@ def test_rigid_base_collapses_uncolored_group():
     expected = 2 ** (len(rigid.edges) - rigid.n + 1)
     assert iso.automorphism_count(x.graph, x.colors) == expected
     assert iso.automorphism_count(y.graph) == expected
+
+
+# First 16 hex digits of sha256(repr(result)); these pin the exact lists that
+# `automorphisms` returns, in search order, and the maps `find_isomorphism`
+# returns on relabelled copies.
+GOLDEN_AUTOMORPHISMS = {
+    "gadget1/colored": "eba5825b4e5cf199",
+    "gadget1/uncolored": "8d3cb971d3e9f7f8",
+    "gadget2/colored": "372318df4047d29b",
+    "gadget2/uncolored": "303619dea2fc3554",
+    "gadget3/colored": "7c29cc2636bb4585",
+    "gadget3/uncolored": "2247a3b733e8cc01",
+    "gadget4/colored": "e92f0a3f1edf1199",
+    "gadget4/uncolored": "59e086445398ab80",
+    "gadget5/colored": "7e36f88cf1b6c74d",
+    "gadget5/uncolored": "643053bc93aed1d8",
+    "CFI(C4)/Y": "b62d8ea743141c66",
+    "CFI(C4)/X": "1ca9b29b5faf286b",
+}
+GOLDEN_PLANTED = {
+    "Y(K4)": "ce55b7e856099e54",
+    "X(C4)": "3c9c18d270273340",
+    "gadget5": "380327ee23540e72",
+    "petersen": "1a2ea493d1a30f8d",
+}
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _aut_input(key):
+    name, variant = key.split("/")
+    if name.startswith("gadget"):
+        gad = gadget.build_gadget(int(name[len("gadget"):]))
+        return gad.graph, gad.colors() if variant == "colored" else None
+    c = cfi.build_cfi(bg.cycle(4), variant == "X")
+    return c.graph, c.colors
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_AUTOMORPHISMS))
+def test_golden_automorphisms(key):
+    g, colors = _aut_input(key)
+    assert _digest(iso.automorphisms(g, colors)) == GOLDEN_AUTOMORPHISMS[key]
+
+
+def _planted_input(key):
+    if key == "Y(K4)":
+        return cfi.build_cfi(bg.complete(4)).graph, None
+    if key == "X(C4)":
+        x = cfi.build_cfi(bg.cycle(4), True)
+        return x.graph, x.colors
+    if key == "gadget5":
+        return gadget.build_gadget(5).graph, None
+    return bg.petersen(), None
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PLANTED))
+def test_golden_planted_isomorphisms(key):
+    g, colors = _planted_input(key)
+    sigma = list(range(g.n))
+    random.Random(f"planted/{key}").shuffle(sigma)
+    g2 = g.relabel(sigma)
+    colors2 = None
+    if colors is not None:
+        colors2 = [0] * g.n
+        for v in range(g.n):
+            colors2[sigma[v]] = colors[v]
+    assert _digest(iso.find_isomorphism(g, g2, colors, colors2)) == GOLDEN_PLANTED[key]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+def test_automorphisms_match_permutation_filter(a):
+    g, colors = a
+    want = [perm for perm in permutations(range(g.n))
+            if all(colors[v] == colors[perm[v]] for v in range(g.n))
+            and g.relabel(perm).edges == g.edges]
+    got = iso.automorphisms(g, colors)
+    assert len(got) == len(set(got))
+    assert sorted(got) == want
