@@ -83,7 +83,7 @@ def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[Sequence[int]],
 
     adj_h = h.adjacency_bits
     full = (1 << h.n) - 1
-    dom = [full] * f.n if domains is None else list(domains)
+    dom = [full] * f.n if domains is None else domains
     position = {v: idx for idx, v in enumerate(order)}
     anchors = [[u for u in f.sorted_adjacency[v] if position[u] < idx]
                for idx, v in enumerate(order)]
