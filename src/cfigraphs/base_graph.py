@@ -212,13 +212,10 @@ def petersen() -> BaseGraph:
     return BaseGraph.from_edges(10, edges)
 
 
+# family name -> (number of parameters, builder)
 FAMILY_BUILDERS = {
-    "P": lambda params: path(params[0]),
-    "C": lambda params: cycle(params[0]),
-    "K": lambda params: complete(params[0]),
-    "Kab": lambda params: complete_bipartite(params[0], params[1]),
-    "grid": lambda params: grid(params[0], params[1]),
-    "petersen": lambda params: petersen(),
+    "P": (1, path), "C": (1, cycle), "K": (1, complete), "Kab": (2, complete_bipartite),
+    "grid": (2, grid), "petersen": (0, petersen),
 }
 
 
@@ -226,7 +223,10 @@ def build_family(name: str, params: Sequence[int] = ()) -> BaseGraph:
     """Canonical graph of a named family: P n, C n, K n, Kab a b, grid a b, petersen."""
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
-    return FAMILY_BUILDERS[name](list(params))
+    arity, builder = FAMILY_BUILDERS[name]
+    if len(params) != arity:
+        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    return builder(*params)
 
 
 # -- I/O ----------------------------------------------------------------------

@@ -22,9 +22,9 @@ Three engines, deliberately distinct so they can cross-check each other:
   outright at tiny scale: a position of k-1 pebbles lives while its live
   extensions admit a perfect matching.  The 3-pebble solver solves only the
   symmetric half of its positions (p0 <= p1, mirrored), starts every
-  matching warm, rejects a position before Kuhn when a row is empty or a
-  column uncovered, and propagates kills in rounds, each with one batched
-  lookup of the stored matchings that used them.  It must agree with
+  matching warm from the one found before it, rejects a position before
+  Kuhn when a row is empty or a column uncovered, and repeats its pass over
+  the live positions until a pass kills nothing.  It must agree with
   ``wl_equivalent`` at dim = k-1, so it reads only the graphs and colours,
   never refinement classes.
 """
@@ -409,48 +409,21 @@ def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
     rows_np = (alive.astype(np.uint64) * weights[None, None, None, :]).sum(axis=3)
     rows = rows_np.tolist()  # rows[p][x][q] = bitmask over y of alive[p,x,q,y]
 
-    # my[p0,p1,q0,q1,x]: the stored matching's image of x; -1 once dead
-    my = np.full((n, n, n, n, n), -1, dtype=np.int8)
-    killed = []  # positions killed since the last scan, mirrors included, 4 ints each
-
-    def solve(p0, p1, q0, q1, start) -> Optional[list[int]]:
-        m = _perfect_matching([r0[q0] & r1[q1] for r0, r1 in zip(rows[p0], rows[p1])], start)
-        if m is not None:
-            my[p0, p1, q0, q1] = my[p1, p0, q1, q0] = m
-            return m
-        my[p0, p1, q0, q1] = my[p1, p0, q1, q0] = -1
-        alive[p0, p1, q0, q1] = alive[p1, p0, q1, q0] = False
-        rows[p0][p1][q0] &= ~(1 << q1)
-        rows[p1][p0][q1] &= ~(1 << q0)
-        killed.extend((p0, p1, q0, q1))
-        if (p0, q0) != (p1, q1):
-            killed.extend((p1, p0, q1, q0))
-        return None
-
     # with p0 == p1 only q0 == q1 starts alive, so p0 <= p1 takes one of each pair
     upper = ~np.tri(n, k=-1, dtype=bool)
     last = [-1] * n
-    for p0, p1, q0, q1 in np.argwhere(alive & upper[:, :, None, None]).tolist():
-        last = solve(p0, p1, q0, q1, last) or last
-
-    # a kill (a, b, c, d) breaks the stored matchings of (a, p1, c, q1) that
-    # send b to d, and those of their mirrors (p1, a, q1, c), which hold the
-    # same matching; the mirrored kill (b, a, d, c) is scanned as well.  Each
-    # broken position is re-solved once, as p0 <= p1.  Chunks of kills keep a
-    # scan near 2**16 cells.
-    stale = np.zeros_like(alive)
-    step = 4 * max(1, 2 ** 16 // (n * n))
-    while killed:
-        dead, killed = killed, []
-        for i in range(0, len(dead), step):
-            a, b, c, d = np.array(dead[i:i + step]).reshape(-1, 4).T
-            j, p1, q1 = np.nonzero(my[a, :, c, :, b] == d[:, None, None])
-            stale[a[j], p1, c[j], q1] = True
-        stale |= stale.transpose(1, 0, 3, 2)
-        hits = np.argwhere(stale & upper[:, :, None, None]).tolist()
-        stale[...] = False
-        for p0, p1, q0, q1 in hits:
-            solve(p0, p1, q0, q1, my[p0, p1, q0, q1].tolist())
+    changed = True
+    while changed:
+        changed = False
+        for p0, p1, q0, q1 in np.argwhere(alive & upper[:, :, None, None]).tolist():
+            m = _perfect_matching([r0[q0] & r1[q1] for r0, r1 in zip(rows[p0], rows[p1])], last)
+            if m is None:
+                alive[p0, p1, q0, q1] = alive[p1, p0, q1, q0] = False
+                rows[p0][p1][q0] &= ~(1 << q1)
+                rows[p1][p0][q1] &= ~(1 << q0)
+                changed = True
+            else:
+                last = m
     return alive
 
 
@@ -461,13 +434,14 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
     the bipartite graph x -> y of its live extensions has a perfect matching
     (``_perfect_matching``, which rejects an empty row or an uncovered column
     before Kuhn runs).  A position and its mirror (p1 -> q1, p0 -> q0) pose
-    the same matching problem, so only p0 <= p1 is solved, and every kill and
-    stored matching is written to both.  Each first matching starts from the
-    one found just before it.  Then the solver works in kill rounds: one
-    chunked, fancy-indexed scan finds every stored matching that used a
-    position killed in the round, and those positions are re-solved from
-    their stored matching.  Like every game solver here, it reads only the
-    graphs and colours, never refinement classes."""
+    the same matching problem, so only p0 <= p1 is solved, and every kill is
+    written to both.  Each matching starts from the last one found.  A pass
+    solves every live position once and applies each kill as it is found, so
+    later positions in the same pass see it; passes repeat until one kills
+    nothing.  A position dies only when its extensions over a superset of the
+    final live set have no perfect matching, so this is the greatest
+    fixpoint.  Like every game solver here, it reads only the graphs and
+    colours, never refinement classes."""
     n = g1.n
     alive = _ck_alive_3(g1, g2, c1, c2)
     start = [int(sum(1 << y for y in range(n) if alive[x, x, y, y])) for x in range(n)]

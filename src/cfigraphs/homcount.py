@@ -281,6 +281,8 @@ def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph,
 def hom_gap(base: BaseGraph, guard: int = HOM_PATTERN_GUARD) -> tuple[int, int]:
     """(hom(subdivision, original), hom(subdivision, twisted)); strictly ordered."""
     sub = subdivide2(base)
+    if sub.graph.n > guard:  # before the CFI graphs, which grow exponentially in the degree
+        raise SizeGuardError(f"pattern graphs guarded at {guard} vertices")
     y0 = build_cfi(base)
     y1 = twist(y0, base.edges[0])
     return (hom_count(sub.graph, y0.graph, guard), hom_count(sub.graph, y1.graph, guard))

@@ -144,6 +144,10 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "C", "2")
     assert code == 2
+    # a family given the wrong number of parameters
+    for argv in (("gen", "P"), ("gen", "grid", "3"), ("gen", "K", "4", "4"), ("gen", "petersen", "5")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "parameter" in err, argv
     huge = tmp_path / "huge.json"
     huge.write_text('{"n": 1000000000000, "edges": []}')
     code, _, err = run(capsys, "distinguish", str(huge))

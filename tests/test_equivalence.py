@@ -673,7 +673,9 @@ def tiny_colored_pairs(draw):
 def test_game_fixpoint_matches_bijection_search(pair):
     (g1, c1), (g2, c2) = pair
     want = naive_ck_alive_3(g1, g2, c1, c2)
-    assert np.array_equal(eqv._ck_alive_3(g1, g2, c1, c2), want)
+    alive = eqv._ck_alive_3(g1, g2, c1, c2)
+    assert np.array_equal(alive, want)
+    assert np.array_equal(alive, alive.transpose(1, 0, 3, 2))
     assert eqv.ck_equivalent_game(g1, g2, 2, c1, c2) == naive_ck_game_2(g1, g2, c1, c2)
 
 

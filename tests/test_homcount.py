@@ -152,6 +152,17 @@ def test_hom_gap_strict():
         assert a > b
 
 
+def test_hom_gap_guards_before_building(monkeypatch):
+    # the 2-subdivision of K14 has 196 vertices, over the guard from the start;
+    # its CFI graphs would take seconds and hundreds of MB to build
+    def refuse(*_):
+        raise AssertionError("hom_gap built a CFI graph past the guard")
+
+    monkeypatch.setattr(hc, "build_cfi", refuse)
+    with pytest.raises(SizeGuardError):
+        hc.hom_gap(bg.complete(14))
+
+
 def test_fiber_partition_star_base():
     # degree-1 and degree-3 gadgets mixed: the fiber partition still tiles the
     # full homomorphism counts, and every fiber matches its linear system
