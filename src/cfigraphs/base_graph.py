@@ -277,22 +277,19 @@ def _read_json(data: bytes) -> tuple[BaseGraph, dict]:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError('JSON graph needs "n" and "edges"')
+    meta = {}
     try:
         n = _check_input_size(int(doc["n"]))
         g = BaseGraph.from_edges(n, [(int(u), int(v)) for u, v in doc["edges"]])
+        if "colors" in doc:
+            meta["colors"] = [int(c) for c in doc["colors"]]
+        if "names" in doc:
+            meta["names"] = [str(s) for s in doc["names"]]
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph data: {exc}") from exc
-    meta = {}
-    if "colors" in doc:
-        colors = [int(c) for c in doc["colors"]]
-        if len(colors) != g.n:
-            raise GraphFormatError("colors array length != n")
-        meta["colors"] = colors
-    if "names" in doc:
-        names = [str(s) for s in doc["names"]]
-        if len(names) != g.n:
-            raise GraphFormatError("names array length != n")
-        meta["names"] = names
+    for key, values in meta.items():
+        if len(values) != g.n:
+            raise GraphFormatError(f"{key} array length != n")
     return g, meta
 
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
-from .base_graph import BaseGraph, Edge, is_connected
+from .base_graph import MAX_INPUT_VERTICES, BaseGraph, Edge, is_connected
+from .errors import SizeGuardError
 from .gadget import Gadget, build_gadget, flip_perm, lift_permutation
 
 
@@ -105,9 +106,12 @@ class CfiGraph:
 
 
 def _build(base: BaseGraph, colored: bool, twist: frozenset[Edge]) -> CfiGraph:
+    # no larger graph could be read back by read_graph
+    size = expected_vertex_count(base)
+    if size > MAX_INPUT_VERTICES:
+        raise SizeGuardError(f"CFI graph would have {size} vertices, over the cap of {MAX_INPUT_VERTICES}")
     nbrs = base.sorted_adjacency
-    # largest degree first, so build_gadget's degree cap fires before any block exists
-    by_degree = {d: build_gadget(d) for d in sorted({len(a) for a in nbrs}, reverse=True)}
+    by_degree = {d: build_gadget(d) for d in {len(a) for a in nbrs}}
     blocks = tuple(by_degree[len(a)] for a in nbrs)
     offsets = [0]
     for block in blocks:

@@ -162,16 +162,16 @@ def _gadget_size_to_degree(size: int) -> int:
 
 
 def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset[int]) -> list[tuple[int, int]]:
-    mid_mask = 0
-    for m in middles:
-        mid_mask |= 1 << m
-    profile = {x: g.adjacency_bits[x] & mid_mask for x in links}
+    profile = {x: g.adjacency[x] & middles for x in links}
+    by_profile: dict[frozenset[int], list[int]] = {}
+    for x in links:
+        by_profile.setdefault(profile[x], []).append(x)
     pairs = []
     used = set()
     for x in links:
         if x in used:
             continue
-        partners = [y for y in links if y != x and profile[y] == mid_mask & ~profile[x]]
+        partners = [y for y in by_profile.get(middles - profile[x], ()) if y != x]
         if len(partners) != 1:
             raise StructureError(f"link vertex {x} has {len(partners)} complementary partners, expected 1")
         y = partners[0]

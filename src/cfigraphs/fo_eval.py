@@ -101,13 +101,13 @@ def check_same_color(base: BaseGraph) -> bool:
         raise ValueError("same-color recovery needs minimum base degree 3")
     for build in (build_cfi, build_tilde):
         uncolored = build(base, False)
-        colored = build(base, True)
         table = build_predicate_table(uncolored.graph)
-        colors = colored.colors
-        for x in range(uncolored.n):
-            for y in range(uncolored.n):
-                if table.same_color_pred(x, y) != (colors[x] == colors[y]):
-                    return False
+        colors = build(base, True).colors
+        class_of: dict[int, int] = {}
+        for x, color in enumerate(colors):
+            class_of[color] = class_of.get(color, 0) | 1 << x
+        if any(table.same_color[x] != class_of[color] for x, color in enumerate(colors)):
+            return False
     return True
 
 
@@ -125,30 +125,35 @@ def same_color_class_count(base: BaseGraph) -> tuple[int, int]:
 
 def predicate_agreement(vertices: Sequence[CfiVertex], table: PredicateTable) -> dict:
     """Agreement counts of each predicate table against the construction's
-    vertex metadata, given in vertex order."""
+    vertex metadata, given in vertex order.  Each pairwise count compares the
+    table's row of x with the true row of x: n minus the bits where they differ."""
     n = len(vertices)
     truth_link = [isinstance(x, Link) for x in vertices]
-    truth_gadget = [x.u for x in vertices]
-    counts = {}
+    gadget_of: dict[int, int] = {}   # base vertex -> its vertices
+    links_of: dict[tuple, int] = {}  # (u, v, side) -> its links
+    for x, vx in enumerate(vertices):
+        gadget_of[vx.u] = gadget_of.get(vx.u, 0) | 1 << x
+        if truth_link[x]:
+            key = (vx.u, vx.v, vx.side)
+            links_of[key] = links_of.get(key, 0) | 1 << x
+    middle_mask = sum(1 << x for x in range(n) if not truth_link[x])
+    g_diff = t_diff = s_diff = 0
+    for x, vx in enumerate(vertices):
+        gadget = gadget_of[vx.u]
+        if truth_link[x]:
+            twin = links_of.get((vx.u, vx.v, "b" if vx.side == "a" else "a"), 0)
+            same_color = 1 << x | twin
+        else:
+            twin = 0
+            same_color = 1 << x | gadget & middle_mask
+        g_diff += (table.gadget[x] ^ gadget).bit_count()
+        t_diff += (table.twin[x] ^ twin).bit_count()
+        s_diff += (table.same_color[x] ^ same_color).bit_count()
     agree = sum(truth_link[x] == table.link_pred(x) for x in range(n))
-    counts["link"] = {"agree": agree, "total": n}
-    counts["middle"] = {"agree": agree, "total": n}
-    g_agree = t_agree = s_agree = 0
-    for x in range(n):
-        vx = vertices[x]
-        for y in range(n):
-            vy = vertices[y]
-            same_gadget = truth_gadget[x] == truth_gadget[y]
-            g_agree += table.gadget_pred(x, y) == same_gadget
-            is_twin = (
-                isinstance(vx, Link) and isinstance(vy, Link)
-                and vx.u == vy.u and vx.v == vy.v and vx.side != vy.side
-            )
-            t_agree += table.twin_pred(x, y) == is_twin
-            same_color = x == y or is_twin or (
-                same_gadget and not truth_link[x] and not truth_link[y])
-            s_agree += table.same_color_pred(x, y) == same_color
-    counts["gadget"] = {"agree": g_agree, "total": n * n}
-    counts["twin"] = {"agree": t_agree, "total": n * n}
-    counts["same_color"] = {"agree": s_agree, "total": n * n}
-    return counts
+    return {
+        "link": {"agree": agree, "total": n},
+        "middle": {"agree": agree, "total": n},
+        "gadget": {"agree": n * n - g_diff, "total": n * n},
+        "twin": {"agree": n * n - t_diff, "total": n * n},
+        "same_color": {"agree": n * n - s_diff, "total": n * n},
+    }

@@ -31,8 +31,12 @@ class Subdivision2:
     w_index: dict  # (u, v) -> subdivision vertex carrying the u-side of edge uv
 
     @cached_property
-    def w_of(self) -> dict:
-        return {idx: pair for pair, idx in self.w_index.items()}
+    def w_rank(self) -> tuple[int, ...]:
+        """The rank of v among u's sorted neighbors, indexed by w(u,v) - base.n."""
+        rank = [0] * (self.graph.n - self.base.n)
+        for (u, v), idx in self.w_index.items():
+            rank[idx - self.base.n] = self.base.sorted_adjacency[u].index(v)
+        return tuple(rank)
 
 
 @lru_cache(maxsize=8)
@@ -149,25 +153,22 @@ def projection(c: CfiGraph) -> tuple[list[int], Subdivision2]:
 
 
 @dataclass(frozen=True)
-class Gf2Equation:
-    variables: tuple[str, ...]
-    rhs: int
-    family: str  # "gadget-parity" | "middle-link" | "cross-link"
-
-
-@dataclass(frozen=True)
 class Gf2System:
-    variables: tuple[str, ...]
-    equations: tuple[Gf2Equation, ...]
+    """A linear system over GF(2) as bitmask rows: bit j of a row is variable
+    j, bit ``nvars`` the row's right-hand side."""
+
+    nvars: int
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
-        used = {v for eq in self.equations for v in eq.variables}
-        if used != set(self.variables):
-            raise ValueError("every variable must occur in at least one equation")
-        if any(eq.rhs not in (0, 1) for eq in self.equations):
-            raise ValueError("right-hand sides live in GF(2)")
+        var_bits = (1 << self.nvars) - 1
+        used = 0
+        for row in self.rows:
+            if row >> (self.nvars + 1):
+                raise ValueError(f"row sets a bit above nvars = {self.nvars}")
+            used |= row
+        if used & var_bits != var_bits:
+            raise ValueError("every variable must occur in at least one row")
 
 
 @dataclass(frozen=True)
@@ -177,20 +178,14 @@ class Gf2Count:
 
 
 def gf2_count(system: Gf2System) -> Gf2Count:
-    """Number of solutions: 0 if inconsistent, else 2^(#variables - rank).
+    """Number of solutions: 0 if inconsistent, else 2^(nvars - rank).
 
-    Each equation is a bitmask row (bit j for variable j, bit #variables for
-    the right-hand side), reduced against pivot rows keyed by their lowest
-    set bit; a row that reduces to its right-hand side alone is 0 = 1."""
-    var_pos = {v: i for i, v in enumerate(system.variables)}
-    nvars = len(system.variables)
-    rhs_bit = 1 << nvars
+    Each row is reduced against pivot rows keyed by their lowest set bit; a
+    row that reduces to its right-hand side alone is 0 = 1."""
+    var_bits = (1 << system.nvars) - 1
     pivots: dict[int, int] = {}
-    for eq in system.equations:
-        row = eq.rhs << nvars
-        for v in eq.variables:
-            row ^= 1 << var_pos[v]
-        while row & (rhs_bit - 1):
+    for row in system.rows:
+        while row & var_bits:
             low = row & -row
             pivot = pivots.get(low)
             if pivot is None:
@@ -200,7 +195,7 @@ def gf2_count(system: Gf2System) -> Gf2Count:
         else:
             if row:
                 return Gf2Count(0, None)
-    free = nvars - len(pivots)
+    free = system.nvars - len(pivots)
     return Gf2Count(1 << free, free)
 
 
@@ -209,9 +204,13 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     """The linear system whose solutions are the fiber of g_endo under the
     projection, for the original (i=0) or once-twisted (i=1) CFI graph.
 
-    Variables: x[alpha,u] for subdivision vertices alpha mapped onto a base
-    vertex (one per neighbor u, recording middle membership), and x[alpha]
-    for alpha mapped onto a w vertex (recording the link side).
+    Variables are numbered in order of alpha over the subdivision vertices:
+    an alpha mapped onto a base vertex gets one per neighbor of its image, in
+    ascending order (middle membership), and an alpha mapped onto a w vertex
+    gets one (the link side).  The rows are the gadget parities, a middle-link
+    row x[alpha,u] + x[beta] for each edge alpha-beta mapped onto u-w(u,v),
+    and a cross-link row x[alpha] + x[beta] for each edge mapped onto
+    w(u,v)-w(v,u), whose right-hand side is 1 only on the twisted edge of i=1.
     """
     if i not in (0, 1):
         raise ValueError("i selects the original (0) or twisted (1) graph")
@@ -223,34 +222,32 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     twisted_edge = (min(twisted_edge), max(twisted_edge))
     if twisted_edge not in base.edge_set:
         raise ValueError(f"twisted edge {twisted_edge} is not an edge of the base")
-    w_of = sub.w_of
+    twisted = base.edges.index(twisted_edge) if i else -1
+    n, w_rank = base.n, sub.w_rank
 
-    variables: list[str] = []
-    equations: list[Gf2Equation] = []
-    for alpha in range(sub.graph.n):
-        img = g_endo[alpha]
-        if img < base.n:
-            vs = tuple(f"x[{alpha},{u}]" for u in base.sorted_adjacency[img])
-            variables.extend(vs)
-            equations.append(Gf2Equation(vs, 0, "gadget-parity"))
+    first = []  # each alpha's first variable
+    rows = []
+    nvars = 0
+    for img in g_endo:
+        first.append(nvars)
+        if img < n:
+            d = len(base.sorted_adjacency[img])
+            rows.append(((1 << d) - 1) << nvars)  # gadget parity
+            nvars += d
         else:
-            variables.append(f"x[{alpha}]")
+            nvars += 1
+    rhs = 1 << nvars
+    # the subdivision has no base-base edge, so at most one end maps onto a base vertex
     for a, b in sub.graph.edges:
-        for alpha, beta in ((a, b), (b, a)):
-            img_a, img_b = g_endo[alpha], g_endo[beta]
-            if img_a < base.n and img_b >= base.n:
-                src, u = w_of[img_b]
-                # a homomorphism forces src == img_a here
-                equations.append(
-                    Gf2Equation((f"x[{alpha},{u}]", f"x[{beta}]"), 0, "middle-link"))
         img_a, img_b = g_endo[a], g_endo[b]
-        if img_a >= base.n and img_b >= base.n:
-            (u1, v1), (u2, v2) = w_of[img_a], w_of[img_b]
-            edge = (min(u1, v1), max(u1, v1))
-            rhs = 1 if (i == 1 and edge == twisted_edge) else 0
-            equations.append(
-                Gf2Equation((f"x[{a}]", f"x[{b}]"), rhs, "cross-link"))
-    return Gf2System(tuple(variables), tuple(equations))
+        if img_a < n:
+            rows.append(1 << (first[a] + w_rank[img_b - n]) | 1 << first[b])
+        elif img_b < n:
+            rows.append(1 << (first[b] + w_rank[img_a - n]) | 1 << first[a])
+        else:  # w(u,v) and w(v,u) sit at n + 2k and n + 2k + 1 for base.edges[k]
+            row = 1 << first[a] | 1 << first[b]
+            rows.append(row | rhs if (img_a - n) >> 1 == twisted else row)
+    return Gf2System(nvars, tuple(rows))
 
 
 @lru_cache(maxsize=8)

@@ -114,6 +114,19 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error:") and "decomposition fails validation" in err
 
 
+def test_gen_guards_cfi_size_before_building(capsys, monkeypatch):
+    # CFI(K18) would have 1,180,260 vertices, more than read_graph accepts;
+    # the guard must fire before the first gadget is built
+    def refuse(*_):
+        raise AssertionError("a gadget was built past the size guard")
+
+    assert cfi.expected_vertex_count(bg.complete(18)) == 1_180_260
+    monkeypatch.setattr(cfi, "build_gadget", refuse)
+    for variant in ("Y", "Xtilde"):
+        code, out, err = run(capsys, "gen", "K", "18", "--variant", variant)
+        assert code == 2 and out == "" and "1180260 vertices" in err
+
+
 def test_hom(tmp_path, capsys):
     p = tmp_path / "c3.json"
     run(capsys, "gen", "C", "3", "--out", str(p))
@@ -152,6 +165,12 @@ def test_input_errors(tmp_path, capsys):
     huge.write_text('{"n": 1000000000000, "edges": []}')
     code, _, err = run(capsys, "distinguish", str(huge))
     assert code == 2 and "input cap" in err
+    # malformed colors and names
+    for doc in ('{"n": 2, "edges": [], "colors": 5}', '{"n": 2, "edges": [], "colors": [[1], 2]}',
+                '{"n": 2, "edges": [], "names": 7}'):
+        bad.write_text(doc)
+        code, _, err = run(capsys, "equiv", "--logic", "Ck", "--k", "2", str(bad), str(bad))
+        assert code == 2 and "bad graph data" in err, doc
     # structurally wrong input for the distinguisher
     k5 = tmp_path / "k5.json"
     run(capsys, "gen", "K", "5", "--out", str(k5))

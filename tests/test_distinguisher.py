@@ -261,6 +261,14 @@ def test_distinguish_at_scale(base):
         assert Counter(v.base.degree(u) for u in range(v.base.n)) == degrees
 
 
+def test_distinguish_builds_no_bitmask_rows():
+    # one n-bit adjacency row per vertex would make the memory quadratic in n
+    c = cfi.build_tilde(bg.grid(15, 15))
+    g = _scrambled(c, random.Random(15))
+    assert dg.distinguish(g).twisted
+    assert "adjacency_bits" not in g.__dict__
+
+
 # K4 with edge 0-1 replaced by the path 0-4-5-1
 K4_SUBDIVIDED = bg.BaseGraph.from_edges(
     6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 1)])

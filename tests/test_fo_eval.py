@@ -89,6 +89,36 @@ def test_agreement_report():
         assert entry["agree"] == entry["total"], key
 
 
+def _naive_agreement(vertices, table):
+    """predicate_agreement pair by pair, straight from the definitions."""
+    n = len(vertices)
+    counts = {key: 0 for key in ("link", "gadget", "twin", "same_color")}
+    for x, vx in enumerate(vertices):
+        counts["link"] += isinstance(vx, cfi.Link) == table.link_pred(x)
+        for y, vy in enumerate(vertices):
+            same_gadget = vx.u == vy.u
+            is_twin = (isinstance(vx, cfi.Link) and isinstance(vy, cfi.Link)
+                       and (vx.u, vx.v) == (vy.u, vy.v) and vx.side != vy.side)
+            same_color = x == y or is_twin or (
+                same_gadget and isinstance(vx, cfi.Middle) and isinstance(vy, cfi.Middle))
+            counts["gadget"] += table.gadget_pred(x, y) == same_gadget
+            counts["twin"] += table.twin_pred(x, y) == is_twin
+            counts["same_color"] += table.same_color_pred(x, y) == same_color
+    out = {"link": {"agree": counts["link"], "total": n}, "middle": {"agree": counts["link"], "total": n}}
+    out.update({key: {"agree": counts[key], "total": n * n} for key in ("gadget", "twin", "same_color")})
+    return out
+
+
+@pytest.mark.parametrize("build", [cfi.build_cfi, cfi.build_tilde], ids=["Y", "Ytilde"])
+def test_agreement_matches_pairwise_reference(build):
+    # grid 2x3 has degree-2 base vertices, where the short-cycle reading fails,
+    # so every pairwise predicate disagrees with the construction somewhere
+    c = build(bg.grid(2, 3))
+    counts = fo_eval.predicate_agreement(c.vertices, fo_eval.build_predicate_table(c.graph))
+    assert counts == _naive_agreement(c.vertices, fo_eval.build_predicate_table(c.graph))
+    assert all(counts[key]["agree"] < counts[key]["total"] for key in ("gadget", "twin", "same_color"))
+
+
 def test_twisted_graph_same_predicates():
     base = bg.complete(4)
     ct = cfi.build_tilde(base)

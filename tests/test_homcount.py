@@ -1,4 +1,3 @@
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -57,20 +56,19 @@ def test_projection_is_homomorphism():
         assert p[c.link_index(u, v, "a")] == p[c.link_index(u, v, "b")]
 
 
-def test_build_system_families_and_rhs():
+def test_build_system_rows_and_rhs():
     base = bg.cycle(3)
     sub = hc.subdivide2(base)
     ident = tuple(range(sub.graph.n))
     s1 = hc.build_system(ident, 1, base)
-    fams = Counter(eq.family for eq in s1.equations)
-    assert fams == {"gadget-parity": 3, "middle-link": 6, "cross-link": 3}
-    assert sum(eq.rhs for eq in s1.equations) == 1
-    nonzero = [eq for eq in s1.equations if eq.rhs]
-    assert nonzero[0].family == "cross-link"
+    rhs = 1 << s1.nvars
+    # 3 gadget parities, 6 middle-links, 3 cross-links
+    assert len(s1.rows) == 12
+    assert sum(1 for row in s1.rows if row & rhs) == 1
     s0 = hc.build_system(ident, 0, base)
-    assert all(eq.rhs == 0 for eq in s0.equations)
-    occur = Counter(v for eq in s1.equations for v in eq.variables)
-    assert set(occur.values()) == {2}
+    assert not any(row & (1 << s0.nvars) for row in s0.rows)
+    occur = [sum(row >> j & 1 for row in s1.rows) for j in range(s1.nvars)]
+    assert set(occur) == {2}
 
 
 def test_build_system_rejects_non_homomorphism():
@@ -84,21 +82,20 @@ def test_build_system_rejects_non_homomorphism():
 
 
 def test_gf2_count_basics():
-    sys0 = hc.Gf2System(("a", "b"), (hc.Gf2Equation(("a", "b"), 0, "cross-link"),))
-    assert hc.gf2_count(sys0) == hc.Gf2Count(2, 1)
-    sys1 = hc.Gf2System(
-        ("a",),
-        (hc.Gf2Equation(("a",), 0, "cross-link"), hc.Gf2Equation(("a",), 1, "cross-link")),
-    )
-    assert hc.gf2_count(sys1) == hc.Gf2Count(0, None)
-    with pytest.raises(ValueError):
-        hc.Gf2System(("a", "b"), (hc.Gf2Equation(("a",), 0, "cross-link"),))
+    # a + b = 0
+    assert hc.gf2_count(hc.Gf2System(2, (0b011,))) == hc.Gf2Count(2, 1)
+    # a = 0 and a = 1
+    assert hc.gf2_count(hc.Gf2System(1, (0b01, 0b11))) == hc.Gf2Count(0, None)
+    with pytest.raises(ValueError, match="every variable"):
+        hc.Gf2System(2, (0b001,))  # b occurs in no row
 
 
-def test_gf2_system_rejects_duplicate_variables():
-    # a repeated name would count as a second, unconstrained variable
-    with pytest.raises(ValueError):
-        hc.Gf2System(("a", "a"), (hc.Gf2Equation(("a",), 0, "cross-link"),))
+def test_gf2_system_rejects_bits_above_nvars():
+    # bit 2 is the right-hand side of a 2-variable row; bit 3 names nothing
+    assert hc.Gf2System(2, (0b111,)).rows == (0b111,)
+    for rows in ((0b011, 0b1000), (0b011, 0b10000), (0b011, -1)):
+        with pytest.raises(ValueError, match="above nvars"):
+            hc.Gf2System(2, rows)
 
 
 def test_build_system_rejects_twist_off_the_base():
@@ -200,24 +197,22 @@ def test_hom_count_matches_all_maps(f, h):
 @st.composite
 def gf2_systems(draw):
     nvars = draw(st.integers(1, 10))
-    equations = draw(st.lists(
-        st.tuples(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=nvars),
-                  st.integers(0, 1)),
+    rows = draw(st.lists(
+        st.tuples(st.integers(1, (1 << nvars) - 1), st.integers(0, 1)),
         min_size=1, max_size=12))
-    used = sorted({v for vs, _ in equations for v in vs})
-    return hc.Gf2System(
-        tuple(f"v{v}" for v in used),
-        tuple(hc.Gf2Equation(tuple(f"v{v}" for v in vs), rhs, "cross-link")
-              for vs, rhs in equations))
+    # renumber the variables that occur to 0..k-1, keeping their order
+    used = [j for j in range(nvars) if any(row >> j & 1 for row, _ in rows)]
+    def renumber(row):
+        return sum(1 << k for k, j in enumerate(used) if row >> j & 1)
+    return hc.Gf2System(len(used), tuple(renumber(row) | rhs << len(used) for row, rhs in rows))
 
 
 @settings(max_examples=150, deadline=None)
 @given(gf2_systems())
 def test_gf2_count_matches_all_assignments(system):
     want = 0
-    for values in product((0, 1), repeat=len(system.variables)):
-        x = dict(zip(system.variables, values))
-        if all(sum(x[v] for v in eq.variables) % 2 == eq.rhs for eq in system.equations):
+    for x in range(1 << system.nvars):  # bit j of x is the value of variable j
+        if all((row & x).bit_count() % 2 == row >> system.nvars & 1 for row in system.rows):
             want += 1
     got = hc.gf2_count(system)
     assert got.count == want
