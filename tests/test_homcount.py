@@ -202,9 +202,10 @@ def gf2_systems(draw):
         min_size=1, max_size=12))
     # renumber the variables that occur to 0..k-1, keeping their order
     used = [j for j in range(nvars) if any(row >> j & 1 for row, _ in rows)]
-    def renumber(row):
-        return sum(1 << k for k, j in enumerate(used) if row >> j & 1)
-    return hc.Gf2System(len(used), tuple(renumber(row) | rhs << len(used) for row, rhs in rows))
+    k = len(used)
+    return hc.Gf2System(k, tuple(
+        sum(1 << new for new, j in enumerate(used) if row >> j & 1) | rhs << k
+        for row, rhs in rows))
 
 
 @settings(max_examples=150, deadline=None)
