@@ -19,6 +19,8 @@ BASES = {
     "K6": bg.complete(6),
     "K8": bg.complete(8),
     "grid30": bg.grid(30, 30),
+    # long chains of degree-2 gadgets, grown one at a time by the frontier walk
+    "C4000+chord": bg.BaseGraph.from_edges(4000, list(bg.cycle(4000).edges) + [(0, 2000)]),
 }
 
 
@@ -43,7 +45,7 @@ def main() -> None:
                 times.append(time.perf_counter() - t0)
                 ok = ok and (verdict.twisted == twisted)
             label = "twisted " if twisted else "original"
-            print(f"{name:9s} {label} n={c.n:4d}  ok={ok}  "
+            print(f"{name:11s} {label} n={c.n:5d}  ok={ok}  "
                   f"avg={1e3 * sum(times) / len(times):7.2f} ms  "
                   f"max={1e3 * max(times):7.2f} ms")
 

@@ -277,20 +277,34 @@ def _read_json(data: bytes) -> tuple[BaseGraph, dict]:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphFormatError('JSON graph needs "n" and "edges"')
-    meta = {}
+    # type(), not isinstance(): JSON true and false load as bool, a subclass of int
+    n, edges = doc["n"], doc["edges"]
+    if type(n) is not int or type(edges) is not list or any(
+            type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int
+            for e in edges):
+        raise GraphFormatError('bad graph data: "n" must be an integer and "edges" a list of integer pairs')
+    _check_input_size(n)
     try:
-        n = _check_input_size(int(doc["n"]))
-        g = BaseGraph.from_edges(n, [(int(u), int(v)) for u, v in doc["edges"]])
-        if "colors" in doc:
-            meta["colors"] = [int(c) for c in doc["colors"]]
-        if "names" in doc:
-            meta["names"] = [str(s) for s in doc["names"]]
-    except (TypeError, ValueError) as exc:
+        g = BaseGraph.from_edges(n, edges)
+    except ValueError as exc:
         raise GraphFormatError(f"bad graph data: {exc}") from exc
-    for key, values in meta.items():
-        if len(values) != g.n:
-            raise GraphFormatError(f"{key} array length != n")
+    meta = {}
+    for key, kind in (("colors", int), ("names", str)):
+        if key in doc:
+            values = doc[key]
+            if type(values) is not list or any(type(x) is not kind for x in values):
+                raise GraphFormatError(f'bad graph data: "{key}" must be a list of {kind.__name__}s')
+            if len(values) != g.n:
+                raise GraphFormatError(f"{key} array length != n")
+            meta[key] = values
     return g, meta
+
+
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: {token!r} is not an integer") from None
 
 
 def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
@@ -304,13 +318,13 @@ def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: expected 'p edge N M'")
-            n = _check_input_size(int(parts[2]))
+            n = _check_input_size(_dimacs_int(parts[2], lineno))
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected 'e U V'")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = _dimacs_int(parts[1], lineno) - 1, _dimacs_int(parts[2], lineno) - 1
             if u == v:
                 raise GraphFormatError(f"line {lineno}: loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):

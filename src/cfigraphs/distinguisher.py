@@ -21,7 +21,9 @@ The route for inputs of maximum degree >= 3:
   3. Gadgets of degree-1 and degree-2 base vertices are grown outward from
      known link pairs: the two external endpoints of a known pair form the
      next pair, their fresh neighbors are the next middle set, and the middle
-     count (1 or 2) reveals the base degree.
+     count (1 or 2) reveals the base degree.  The same walk over the pairs
+     names the gadget across each pair's base edge: the one its external
+     endpoints land in, or the one they grow.
   4. The first vertex of each twin pair is the tentative "a" side; where one
      middle touches an odd number of a gadget's representatives, one pair's
      representative switches, so every gadget's flip set is even.  The base
@@ -147,7 +149,6 @@ class RecoveredGadget:
 @dataclass
 class GadgetDecomposition:
     gadgets: list[RecoveredGadget]
-    assignment: dict[int, int]          # vertex -> gadget id
     base: BaseGraph                     # recovered base on gadget ids
     pair_to_gadget: dict[tuple[int, int], int]  # twin pair -> opposite gadget id
 
@@ -162,21 +163,16 @@ def _gadget_size_to_degree(size: int) -> int:
 
 
 def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset[int]) -> list[tuple[int, int]]:
-    profile = {x: g.adjacency[x] & middles for x in links}
     by_profile: dict[frozenset[int], list[int]] = {}
     for x in links:
-        by_profile.setdefault(profile[x], []).append(x)
-    pairs = []
-    used = set()
+        by_profile.setdefault(g.adjacency[x] & middles, []).append(x)
+    pairs = set()
     for x in links:
-        if x in used:
-            continue
-        partners = [y for y in by_profile.get(middles - profile[x], ()) if y != x]
+        partners = [y for y in by_profile.get(middles - g.adjacency[x], ()) if y != x]
         if len(partners) != 1:
             raise StructureError(f"link vertex {x} has {len(partners)} complementary partners, expected 1")
         y = partners[0]
-        used.update((x, y))
-        pairs.append((min(x, y), max(x, y)))
+        pairs.add((min(x, y), max(x, y)))
     return sorted(pairs)
 
 
@@ -193,7 +189,8 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         classes.setdefault(uf.find(v), set()).add(v)
 
     gadgets: list[RecoveredGadget] = []
-    assignment: dict[int, int] = {}
+    assignment: dict[int, int] = {}  # vertex -> gadget id
+    pair_to_gadget: dict[tuple[int, int], int] = {}
 
     def add_gadget(vertices: frozenset[int], degree: int, pairs, middles) -> int:
         gid = len(gadgets)
@@ -215,13 +212,15 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         pairs = _twin_pairs_by_complement(g, links, frozenset(middles))
         add_gadget(verts, d, pairs, middles)
 
-    # grow degree <= 2 gadgets outward from known link pairs
+    # grow degree <= 2 gadgets outward from known link pairs, naming the
+    # gadget across each pair's base edge on the way
     frontier = [pair for gad in gadgets for pair in gad.pairs]
     while frontier:
-        x1, x2 = frontier.pop()
+        pair = frontier.pop()
+        gid = assignment[pair[0]]
         ext = []
-        for x in (x1, x2):
-            outside = [w for w in g.adjacency[x] if w not in gadgets[assignment[x]].vertices]
+        for x in pair:
+            outside = [w for w in g.adjacency[x] if w not in gadgets[gid].vertices]
             if len(outside) != 1:
                 raise StructureError(f"link vertex {x} does not have exactly one external edge")
             ext.append(outside[0])
@@ -230,13 +229,21 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             landing = (min(y1, y2), max(y1, y2))
             if y2 not in assignment or landing not in gadgets[assignment[y2]].pairs:
                 raise StructureError("cross edges of a link pair do not land on a twin pair")
+            if assignment[y2] == gid:
+                raise StructureError("twin pair loops back to its own gadget")
+            pair_to_gadget[pair] = assignment[y2]
             continue
         if y1 == y2:
             raise StructureError("link pair collapses onto one external vertex")
         new_pair = (min(y1, y2), max(y1, y2))
-        middles = (g.adjacency[y1] | g.adjacency[y2]) - set(assignment) - {y1, y2}
+        # the new pair's placed neighbours must all lie across its base edge
+        around = g.adjacency[y1] | g.adjacency[y2]
+        if {assignment[w] for w in around if w in assignment} != {gid}:
+            raise StructureError("twin pair touches several gadgets")
+        middles = {w for w in around if w not in assignment} - {y1, y2}
+        pair_to_gadget[new_pair] = gid
         if len(middles) == 1:
-            add_gadget(frozenset({y1, y2} | middles), 1, [new_pair], middles)
+            pair_to_gadget[pair] = add_gadget(frozenset({y1, y2} | middles), 1, [new_pair], middles)
         elif len(middles) == 2:
             other = set()
             for m in middles:
@@ -246,7 +253,7 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             o1, o2 = sorted(other)
             verts = frozenset({y1, y2, o1, o2} | middles)
             second = (o1, o2)
-            add_gadget(verts, 2, [new_pair, second], middles)
+            pair_to_gadget[pair] = add_gadget(verts, 2, [new_pair, second], middles)
             frontier.append(second)
         else:
             raise StructureError(f"frontier gadget has {len(middles)} middle vertices, expected 1 or 2")
@@ -255,27 +262,11 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         missing = sorted(set(range(g.n)) - set(assignment))
         raise StructureError(f"{len(missing)} vertices outside every gadget, e.g. {missing[:5]}")
 
-    # base graph on gadget ids, plus the pair -> opposite gadget table
-    base_edges = set()
-    pair_to_gadget: dict[tuple[int, int], int] = {}
-    for gid, gad in enumerate(gadgets):
-        for pair in gad.pairs:
-            ext_g = set()
-            for x in pair:
-                for w in g.adjacency[x]:
-                    if w not in gad.vertices:
-                        ext_g.add(assignment[w])
-            if len(ext_g) != 1:
-                raise StructureError("twin pair touches several gadgets")
-            opp = ext_g.pop()
-            if opp == gid:
-                raise StructureError("twin pair loops back to its own gadget")
-            pair_to_gadget[pair] = opp
-            base_edges.add((min(gid, opp), max(gid, opp)))
+    base_edges = ((assignment[x], opp) for (x, _), opp in pair_to_gadget.items())
     base = BaseGraph.from_edges(len(gadgets), base_edges)
     if not is_connected(base):
         raise StructureError("recovered base graph is not connected")
-    return GadgetDecomposition(gadgets, assignment, base, pair_to_gadget)
+    return GadgetDecomposition(gadgets, base, pair_to_gadget)
 
 
 def orientation_parity(g: BaseGraph, dec: GadgetDecomposition) -> str:

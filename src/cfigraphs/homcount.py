@@ -60,14 +60,14 @@ def is_homomorphism(f: BaseGraph, h: BaseGraph, mapping: Sequence[int]) -> bool:
 
 
 def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[Sequence[int]],
-                count_only: bool, guard: int):
+                count_only: bool):
     """Backtracking over f's vertices in a connectivity-first order.
 
     ``domains``, if given, holds a bitmask of allowed images per vertex of f.
     A vertex's candidates are its domain ANDed with the adjacency bitmasks of
     the images of its already placed neighbours, tried in ascending order."""
-    if f.n > guard:
-        raise SizeGuardError(f"pattern graphs guarded at {guard} vertices")
+    if f.n > HOM_PATTERN_GUARD:
+        raise SizeGuardError(f"pattern graphs guarded at {HOM_PATTERN_GUARD} vertices")
     order = []
     placed = [False] * f.n
     for start in range(f.n):
@@ -120,18 +120,17 @@ def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[Sequence[int]],
     return count if count_only else results
 
 
-def hom_count(f: BaseGraph, h: BaseGraph, guard: int = HOM_PATTERN_GUARD) -> int:
+def hom_count(f: BaseGraph, h: BaseGraph) -> int:
     """Exact |Hom(f, h)| by backtracking."""
-    return _hom_search(f, h, None, True, guard)
+    return _hom_search(f, h, None, True)
 
 
-def enumerate_homomorphisms(f: BaseGraph, h: BaseGraph,
-                            guard: int = HOM_PATTERN_GUARD) -> list[tuple[int, ...]]:
+def enumerate_homomorphisms(f: BaseGraph, h: BaseGraph) -> list[tuple[int, ...]]:
     """Every homomorphism f -> h as an image tuple.  The order is that of the
     backtracking: f's vertices are placed in a connectivity-first order (BFS
     from the lowest unplaced vertex, neighbours ascending) and each takes its
     candidate images in ascending order."""
-    return _hom_search(f, h, None, False, guard)
+    return _hom_search(f, h, None, False)
 
 
 def projection(c: CfiGraph) -> tuple[list[int], Subdivision2]:
@@ -265,21 +264,20 @@ def _fiber_setup(base: BaseGraph, i: int) -> tuple[BaseGraph, BaseGraph, tuple[i
     return sub.graph, c.graph, tuple(fiber_of)
 
 
-def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph,
-                    guard: int = HOM_PATTERN_GUARD) -> int:
+def hom_fiber_count(g_endo: Sequence[int], i: int, base: BaseGraph) -> int:
     """Brute-force size of the fiber over g_endo: homomorphisms from the
     subdivision into the (possibly twisted) CFI graph that project back onto
     g_endo.  Independent of the linear-system route."""
     sub, graph, fiber_of = _fiber_setup(base, i)
     domains = [fiber_of[g_endo[alpha]] for alpha in range(sub.n)]
-    return _hom_search(sub, graph, domains, True, guard)
+    return _hom_search(sub, graph, domains, True)
 
 
-def hom_gap(base: BaseGraph, guard: int = HOM_PATTERN_GUARD) -> tuple[int, int]:
+def hom_gap(base: BaseGraph) -> tuple[int, int]:
     """(hom(subdivision, original), hom(subdivision, twisted)); strictly ordered."""
     sub = subdivide2(base)
-    if sub.graph.n > guard:  # before the CFI graphs, which grow exponentially in the degree
-        raise SizeGuardError(f"pattern graphs guarded at {guard} vertices")
+    if sub.graph.n > HOM_PATTERN_GUARD:  # before the CFI graphs, which grow exponentially in the degree
+        raise SizeGuardError(f"pattern graphs guarded at {HOM_PATTERN_GUARD} vertices")
     y0 = build_cfi(base)
     y1 = twist(y0, base.edges[0])
-    return (hom_count(sub.graph, y0.graph, guard), hom_count(sub.graph, y1.graph, guard))
+    return (hom_count(sub.graph, y0.graph), hom_count(sub.graph, y1.graph))

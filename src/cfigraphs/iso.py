@@ -136,20 +136,15 @@ def find_isomorphism(
     return res[0]
 
 
-def automorphisms(
-    g: BaseGraph,
-    colors: Optional[Sequence[int]] = None,
-    guard: int = ISO_SIZE_GUARD,
-) -> list[tuple[int, ...]]:
+def automorphisms(g: BaseGraph, colors: Optional[Sequence[int]] = None) -> list[tuple[int, ...]]:
     """All automorphisms, exhaustively enumerated."""
-    if g.n > guard:
-        raise SizeGuardError(f"automorphism search guarded at {guard} vertices")
+    if g.n > ISO_SIZE_GUARD:
+        raise SizeGuardError(f"automorphism search guarded at {ISO_SIZE_GUARD} vertices")
     return _search(g, g, colors, colors, find_all=True)
 
 
-def automorphism_count(g: BaseGraph, colors: Optional[Sequence[int]] = None,
-                       guard: int = ISO_SIZE_GUARD) -> int:
-    return len(automorphisms(g, colors, guard))
+def automorphism_count(g: BaseGraph, colors: Optional[Sequence[int]] = None) -> int:
+    return len(automorphisms(g, colors))
 
 
 # -- structure of CFI maps ----------------------------------------------------

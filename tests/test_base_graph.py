@@ -80,6 +80,26 @@ def test_json_colors_names():
         bg.read_graph(b'{"n": 2, "edges": [[0,1]], "colors": [1]}', "json")
 
 
+@pytest.mark.parametrize("doc", [
+    b'{"n": 3, "edges": [[0,1],[1,2]], "names": "abc", "colors": [true, false, 1.9]}',
+    b'{"n": 3, "edges": [[0,1],[1,2]], "colors": [true, false, 1]}',
+    b'{"n": 3, "edges": [[0,1],[1,2]], "colors": [0, 1, 1.9]}',
+    b'{"n": 3, "edges": [[0,1],[1,2]], "colors": ["0", 1, 2]}',
+    b'{"n": 3, "edges": [[0,1],[1,2]], "names": "abc"}',
+    b'{"n": 3, "edges": [[0,1],[1,2]], "names": ["a", "b", 3]}',
+    b'{"n": 3.0, "edges": [[0,1],[1,2]]}',
+    b'{"n": "3", "edges": [[0,1],[1,2]]}',
+    b'{"n": true, "edges": []}',
+    b'{"n": 3, "edges": [[0,1],[1,2.0]]}',
+    b'{"n": 3, "edges": [[0,1],[1,"2"]]}',
+    b'{"n": 3, "edges": [[0,1],[1,2,0]]}',
+    b'{"n": 3, "edges": [[false,1]]}',
+])
+def test_json_accepts_only_json_integers_and_strings(doc):
+    with pytest.raises(GraphFormatError, match="bad graph data"):
+        bg.read_graph(doc, "json")
+
+
 def test_dimacs():
     text = b"c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
     g, _ = bg.read_graph(text, "dimacs")
@@ -91,6 +111,10 @@ def test_dimacs():
         bg.read_graph(b"p edge 2 1\ne 1 1\n", "dimacs")
     with pytest.raises(GraphFormatError, match="line 1"):
         bg.read_graph(b"q edge 2 1\n", "dimacs")
+    with pytest.raises(GraphFormatError, match="line 1: '3.0' is not an integer"):
+        bg.read_graph(b"p edge 3.0 1\ne 1 2\n", "dimacs")
+    with pytest.raises(GraphFormatError, match="line 2: 'x' is not an integer"):
+        bg.read_graph(b"p edge 3 1\ne 1 x\n", "dimacs")
     with pytest.raises(GraphFormatError, match="input cap"):
         bg.read_graph(b"p edge %d 0\n" % (bg.MAX_INPUT_VERTICES + 1), "dimacs")
     assert bg.read_graph(b"p edge %d 0\n" % bg.MAX_INPUT_VERTICES, "dimacs")[0].n == bg.MAX_INPUT_VERTICES

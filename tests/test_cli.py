@@ -167,7 +167,9 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2 and "input cap" in err
     # malformed colors and names
     for doc in ('{"n": 2, "edges": [], "colors": 5}', '{"n": 2, "edges": [], "colors": [[1], 2]}',
-                '{"n": 2, "edges": [], "names": 7}'):
+                '{"n": 2, "edges": [], "names": 7}',
+                '{"n": 3, "edges": [[0,1],[1,2]], "names": "abc", "colors": [true, false, 1.9]}',
+                '{"n": 3.0, "edges": [[0,1],[1,2]]}'):
         bad.write_text(doc)
         code, _, err = run(capsys, "equiv", "--logic", "Ck", "--k", "2", str(bad), str(bad))
         assert code == 2 and "bad graph data" in err, doc

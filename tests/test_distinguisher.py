@@ -182,6 +182,19 @@ def test_structure_errors():
         dg.distinguish(bg.cycle(9))  # single odd cycle is no twisted image
 
 
+def test_grown_pair_touching_another_gadget_is_rejected():
+    # a star with arms of length 4, 2 and 1, and a(3,2) on the long arm also
+    # joined to the middle of pendant gadget 7, too far away to close a short
+    # cycle.  In the construction's own labelling the walk grows gadget 7
+    # first, so the pair a(3,2), b(3,2) is grown next to an assigned vertex of
+    # a gadget other than the one it came from.
+    base = bg.BaseGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (0, 7)])
+    c = cfi.build_cfi(base)
+    extra = (c.link_index(3, 2, "a"), c.middle_index(7, ()))
+    with pytest.raises(StructureError, match="touches several gadgets"):
+        dg.decompose(bg.BaseGraph.from_edges(c.n, list(c.edges) + [extra]))
+
+
 @pytest.mark.parametrize("first", [cfi.build_cfi, cfi.build_tilde])
 def test_disjoint_copies_are_rejected(first):
     # each copy is a valid CFI graph, but their union recovers a disconnected base
@@ -249,7 +262,12 @@ def test_random_bases_roundtrip():
             assert iso.find_isomorphism(v.base, base) is not None, base.edges
 
 
-@pytest.mark.parametrize("base", [bg.complete(8), bg.grid(30, 30)], ids=["K8", "grid30"])
+# C1000 plus a chord: two chains of 499 degree-2 gadgets, grown one by one
+C1000_CHORD = bg.BaseGraph.from_edges(1000, list(bg.cycle(1000).edges) + [(0, 500)])
+
+
+@pytest.mark.parametrize("base", [bg.complete(8), bg.grid(30, 30), C1000_CHORD],
+                         ids=["K8", "grid30", "C1000chord"])
 def test_distinguish_at_scale(base):
     rng = random.Random(base.n)
     degrees = Counter(base.degree(u) for u in range(base.n))
