@@ -103,11 +103,21 @@ class BaseGraph:
     def min_degree(self) -> int:
         return min(len(a) for a in self.adjacency)
 
+    def _edge_image(self, perm: Sequence[int]) -> tuple[Edge, ...]:
+        # a bijection's image has no loops or duplicates; only the order is lost
+        images = ((perm[u], perm[v]) for u, v in self.edges)
+        return tuple(sorted((p, q) if p < q else (q, p) for p, q in images))
+
     def relabel(self, perm: Sequence[int]) -> "BaseGraph":
         """Image of the graph under vertex bijection v -> perm[v]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a bijection on 0..n-1")
-        return BaseGraph.from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges))
+        return BaseGraph(self.n, self._edge_image(perm))
+
+    def is_isomorphism(self, h: "BaseGraph", perm: Sequence[int]) -> bool:
+        """True iff v -> perm[v] is a bijection onto the vertices of h that
+        maps the edges of this graph exactly onto the edges of h."""
+        return self.n == h.n and sorted(perm) == list(range(h.n)) and self._edge_image(perm) == h.edges
 
 
 def connected_components(g: BaseGraph) -> list[frozenset[int]]:

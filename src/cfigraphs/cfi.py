@@ -223,7 +223,7 @@ def gadget_flip_map(c: CfiGraph, flips: dict[int, frozenset[int]]) -> tuple[int,
 def lift_base_automorphism(c: CfiGraph, sigma: Sequence[int]) -> tuple[int, ...]:
     """The canonical lift of a base automorphism: a(u,v) -> a(su,sv), likewise b,
     and middles by renaming members."""
-    if c.base.relabel(sigma).edges != c.base.edges:
+    if not c.base.is_isomorphism(c.base, sigma):
         raise ValueError("sigma is not an automorphism of the base graph")
     nbrs = c.base.sorted_adjacency
     out: list[int] = []

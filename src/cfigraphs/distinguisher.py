@@ -229,8 +229,6 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             landing = (min(y1, y2), max(y1, y2))
             if y2 not in assignment or landing not in gadgets[assignment[y2]].pairs:
                 raise StructureError("cross edges of a link pair do not land on a twin pair")
-            if assignment[y2] == gid:
-                raise StructureError("twin pair loops back to its own gadget")
             pair_to_gadget[pair] = assignment[y2]
             continue
         if y1 == y2:
@@ -301,10 +299,7 @@ def orientation_parity(g: BaseGraph, dec: GadgetDecomposition) -> str:
             # the a(u,v) among m's neighbours are the representatives it touches
             mask = sum(1 << (phi[x] - off) for x in g.adjacency[m] if off <= phi[x] < off + d)
             phi[m] = off + 2 * d + (mask >> 1)
-    # for a bijection phi, equal sorted edge lists mean equal edge counts and
-    # every edge of g mapped onto an edge of h
-    mapped = sorted((p, q) if p < q else (q, p) for p, q in ((phi[x], phi[y]) for x, y in g.edges))
-    if sorted(phi) != list(range(h.n)) or mapped != list(h.edges):
+    if not g.is_isomorphism(h.graph, phi):
         raise StructureError("the input is not isomorphic to the CFI graph of its recovered base")
     return "even" if len(twist) % 2 == 0 else "odd"
 

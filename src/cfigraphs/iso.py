@@ -107,11 +107,8 @@ def _search(
 
 
 def _verify(g1, g2, colors1, colors2, perm) -> None:
-    assert sorted(perm) == list(range(g1.n))
-    for u in range(g1.n):
-        for v in range(u + 1, g1.n):
-            if g1.has_edge(u, v) != g2.has_edge(perm[u], perm[v]):
-                raise AssertionError("search returned a non-isomorphism")
+    if not g1.is_isomorphism(g2, perm):
+        raise AssertionError("search returned a non-isomorphism")
     if colors1 is not None or colors2 is not None:
         c1 = colors1 if colors1 is not None else [0] * g1.n
         c2 = colors2 if colors2 is not None else [0] * g2.n
@@ -172,7 +169,7 @@ def induced_base_map(perm: Sequence[int], c1: CfiGraph, c2: CfiGraph) -> list[in
     if sigma is None:
         raise ValueError("map is not gadget-preserving")
     base = c1.base
-    if base.relabel(sigma).edges != base.edges:
+    if not base.is_isomorphism(base, sigma):
         raise AssertionError("induced base map is not a base automorphism")
     for u, v in base.edges:
         for (s, t) in ((u, v), (v, u)):

@@ -32,20 +32,8 @@ def validate_tree_decomposition(g: BaseGraph, td: TreeDecomposition) -> None:
         raise ValueError("bags must be nonempty")
     if len(td.tree_edges) != k - 1:
         raise ValueError("tree must have exactly |bags|-1 edges")
-    # tree connectivity
-    adj = [[] for _ in range(k)]
-    for i, j in td.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != k:
+    tree = BaseGraph.from_edges(k, td.tree_edges)
+    if not is_connected(tree):
         raise ValueError("bag tree is not connected")
     covered = set()
     for b in td.bags:
@@ -56,17 +44,9 @@ def validate_tree_decomposition(g: BaseGraph, td: TreeDecomposition) -> None:
         if not any(u in b and v in b for b in td.bags):
             raise ValueError(f"edge ({u},{v}) not covered by any bag")
     for v in range(g.n):
-        holding = [i for i in range(k) if v in td.bags[i]]
-        comp = {holding[0]}
-        stack = [holding[0]]
-        hold_set = set(holding)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in hold_set and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        if comp != hold_set:
+        holding = {i for i, b in enumerate(td.bags) if v in b}
+        # a subforest of a tree is connected iff it has one edge fewer than vertices
+        if sum(1 for i, j in tree.edges if i in holding and j in holding) != len(holding) - 1:
             raise ValueError(f"bags holding vertex {v} are not connected in the tree")
 
 

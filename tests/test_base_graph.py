@@ -144,3 +144,44 @@ def test_classify_linear_relabel_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert bg.classify_linear(g) == bg.classify_linear(g.relabel(perm))
+
+
+@st.composite
+def vertex_maps(draw):
+    """(g, h, p): h is g relabelled by a permutation sigma, the same with one
+    vertex pair toggled, or any graph, often of another order; p is sigma,
+    another permutation, sigma with a repeated entry, or one entry too short
+    or too long."""
+    g = draw(graphs())
+    sigma = draw(st.permutations(range(g.n)))
+    h = g.relabel(sigma)
+    target = draw(st.sampled_from(["relabelled", "toggled", "any"]))
+    if target == "toggled" and g.n > 1:
+        pair = draw(st.sampled_from([(u, v) for u in range(g.n) for v in range(u + 1, g.n)]))
+        h = bg.BaseGraph.from_edges(g.n, set(h.edges) ^ {pair})
+    elif target == "any":
+        h = draw(graphs())
+    p = list(sigma)
+    sequence = draw(st.sampled_from(["sigma", "permutation", "repeated", "short", "long"]))
+    if sequence == "permutation":
+        p = draw(st.permutations(range(g.n)))
+    elif sequence == "repeated" and g.n > 1:
+        i, j = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        p[i] = p[j]
+    elif sequence == "short":
+        p = p[:-1]
+    elif sequence == "long":
+        p = p + [g.n]
+    return g, h, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_maps())
+def test_is_isomorphism_matches_brute_force(case):
+    g, h, p = case
+    bijection = len(p) == g.n == h.n and set(p) == set(range(h.n))
+    want = bijection and all(g.has_edge(u, v) == h.has_edge(p[u], p[v])
+                             for u in range(g.n) for v in range(u + 1, g.n))
+    assert g.is_isomorphism(h, p) == want
+    if bijection:
+        assert (g.relabel(p).edges == h.edges) == want

@@ -195,6 +195,18 @@ def test_grown_pair_touching_another_gadget_is_rejected():
         dg.decompose(bg.BaseGraph.from_edges(c.n, list(c.edges) + [extra]))
 
 
+def test_links_sharing_a_middle_profile_are_rejected():
+    # in gadget 0 of CFI(K4), a(0,2) takes the middles of a(0,1) and b(0,2)
+    # those of b(0,1), so a(0,1) and a(0,2) each find two complementary
+    # partners, and every link finds at least one
+    c = cfi.build_cfi(bg.complete(4))
+    a2, b2 = c.link_index(0, 2, "a"), c.link_index(0, 2, "b")
+    m13, m23 = c.middle_index(0, (1, 3)), c.middle_index(0, (2, 3))
+    edges = set(c.edges) - {(a2, m23), (b2, m13)} | {(a2, m13), (b2, m23)}
+    with pytest.raises(StructureError, match="complementary partners"):
+        dg.decompose(bg.BaseGraph.from_edges(c.n, edges))
+
+
 @pytest.mark.parametrize("first", [cfi.build_cfi, cfi.build_tilde])
 def test_disjoint_copies_are_rejected(first):
     # each copy is a valid CFI graph, but their union recovers a disconnected base

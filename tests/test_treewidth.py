@@ -31,17 +31,24 @@ def test_every_tree_has_width_one():
         assert tw.treewidth_exact(g)[0] == 1
 
 
-def test_decomposition_validator_rejects_bad():
-    g = bg.cycle(4)
-    _, td = tw.treewidth_exact(g)
-    tw.validate_tree_decomposition(g, td)
-    broken = tw.TreeDecomposition((frozenset({0, 1}),), ())
-    with pytest.raises(ValueError):
-        tw.validate_tree_decomposition(g, broken)
-    disconnected = tw.TreeDecomposition(
-        (frozenset({0, 1, 2}), frozenset({2, 3, 0}), frozenset({1})), ((0, 1),))
-    with pytest.raises(ValueError):
-        tw.validate_tree_decomposition(g, disconnected)
+C4_BAGS = (frozenset({0, 1, 2}), frozenset({2, 3, 0}), frozenset({1}))
+
+
+@pytest.mark.parametrize("g, bags, tree_edges, match", [
+    (bg.cycle(4), (frozenset({0, 1}),), (), "do not cover every vertex"),
+    (bg.cycle(4), C4_BAGS, ((0, 1),), r"exactly \|bags\|-1 edges"),
+    (bg.path(2), (frozenset({0, 1}), frozenset({1, 2})), ((0, 2),), "out of range"),
+    (bg.cycle(4), C4_BAGS, ((0, 1), (1, 0)), "bag tree is not connected"),
+    (bg.cycle(4), (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})), ((0, 1), (1, 2)),
+     r"edge \(0,3\) not covered"),
+    (bg.cycle(4), (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({0, 3})), ((0, 1), (1, 2)),
+     "bags holding vertex 0 are not connected"),
+], ids=["uncovered-vertex", "edge-count", "index-past-last-bag", "duplicated-tree-edge",
+        "uncovered-edge", "split-running-intersection"])
+def test_decomposition_validator_rejects_bad(g, bags, tree_edges, match):
+    tw.validate_tree_decomposition(g, tw.treewidth_exact(g)[1])
+    with pytest.raises(ValueError, match=match):
+        tw.validate_tree_decomposition(g, tw.TreeDecomposition(bags, tree_edges))
 
 
 def test_size_guard():
