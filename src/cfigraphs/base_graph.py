@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, SizeGuardError
 
 Edge = tuple[int, int]
 
-# Largest vertex count read_graph accepts: far above CFI(grid 30x30)'s 13,688
-# vertices, and small enough that per-vertex work on an input stays bounded.
+# Largest vertex count read_graph accepts, and largest vertex or edge count the
+# family and CFI builders build: far above CFI(grid 30x30)'s 13,688 vertices,
+# and small enough that per-vertex work on an input stays bounded.
 MAX_INPUT_VERTICES = 1_000_000
 
 
@@ -38,27 +39,22 @@ class BaseGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")
-        seen = set()
-        for u, v in self.edges:
+        n, prev = self.n, (-1, -1)
+        for e in self.edges:
+            u, v = e
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u},{v}) out of range or not normalized")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-        if list(self.edges) != sorted(self.edges):
-            raise ValueError("edges must be sorted")
+            # sorted and duplicate-free iff each edge is strictly above the one before
+            if e <= prev:
+                raise ValueError(f"duplicate edge ({u},{v})" if e == prev else "edges must be sorted")
+            prev = e
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "BaseGraph":
         """Build a graph, normalizing edge order and deduplicating."""
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            norm.add(_normalize_edge(u, v))
-        return BaseGraph(n, tuple(sorted(norm)))
+        return BaseGraph(n, tuple(sorted({_normalize_edge(u, v) for u, v in edges})))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -82,15 +78,9 @@ class BaseGraph:
             rows[v] |= 1 << u
         return tuple(rows)
 
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edge_set
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
+        # the range check keeps a negative u from indexing from the end
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def degree(self, v: int) -> int:
         if not (0 <= v < self.n):
@@ -222,10 +212,14 @@ def petersen() -> BaseGraph:
     return BaseGraph.from_edges(10, edges)
 
 
-# family name -> (number of parameters, builder)
+# family name -> (number of parameters, builder, (vertex count, edge count))
 FAMILY_BUILDERS = {
-    "P": (1, path), "C": (1, cycle), "K": (1, complete), "Kab": (2, complete_bipartite),
-    "grid": (2, grid), "petersen": (0, petersen),
+    "P": (1, path, lambda k: (k + 1, k)),
+    "C": (1, cycle, lambda k: (k, k)),
+    "K": (1, complete, lambda n: (n, n * (n - 1) // 2)),
+    "Kab": (2, complete_bipartite, lambda a, b: (a + b, a * b)),
+    "grid": (2, grid, lambda a, b: (a * b, a * (b - 1) + b * (a - 1))),
+    "petersen": (0, petersen, lambda: (10, 15)),
 }
 
 
@@ -233,9 +227,14 @@ def build_family(name: str, params: Sequence[int] = ()) -> BaseGraph:
     """Canonical graph of a named family: P n, C n, K n, Kab a b, grid a b, petersen."""
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
-    arity, builder = FAMILY_BUILDERS[name]
+    arity, builder, size = FAMILY_BUILDERS[name]
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+    # counted before building; negative parameters are left to the builder's check
+    n, m = size(*(max(p, 0) for p in params))
+    if max(n, m) > MAX_INPUT_VERTICES:
+        raise SizeGuardError(f"{name} {' '.join(map(str, params))} would have {n} vertices and {m} edges, "
+                             f"over the cap of {MAX_INPUT_VERTICES}")
     return builder(*params)
 
 

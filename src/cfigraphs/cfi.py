@@ -19,7 +19,6 @@ times; only the parity of its size matters up to isomorphism.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -49,14 +48,6 @@ class Middle:
 
 
 CfiVertex = Union[Link, Middle]
-
-
-@dataclass(frozen=True)
-class Color:
-    """Pair color: c1 identifies the twin pair (absent on middles), c2 the gadget."""
-
-    c1: Optional[tuple[int, int]]
-    c2: int
 
 
 @dataclass(frozen=True)
@@ -149,7 +140,7 @@ def build_cfi(base: BaseGraph, colored: bool = False) -> CfiGraph:
 def twist(c: CfiGraph, e: tuple[int, int]) -> CfiGraph:
     """Swap the cross-edge pattern at one base edge; involutive per edge."""
     e = (min(e), max(e))
-    if e not in c.base.edge_set:
+    if not c.base.has_edge(*e):
         raise ValueError(f"{e} is not a base edge")
     return _build(c.base, c.colored, c.twist ^ {e})
 
@@ -170,16 +161,6 @@ def twist_parity(c: CfiGraph) -> str:
     return "even" if len(c.twist) % 2 == 0 else "odd"
 
 
-def color_of(c: CfiGraph, x: int) -> Color:
-    if not c.colored:
-        raise ValueError("graph is uncolored")
-    if not 0 <= x < c.n:
-        raise ValueError(f"vertex {x} out of range")
-    u = bisect_right(c.offsets, x) - 1
-    i, d = x - c.offsets[u], c.blocks[u].d
-    return Color((u, i % d + 1), u) if i < 2 * d else Color(None, u)
-
-
 def expected_vertex_count(base: BaseGraph) -> int:
     return sum(2 * base.degree(u) + (1 << (base.degree(u) - 1)) for u in range(base.n))
 
@@ -194,6 +175,9 @@ def path_encode(c: CfiGraph) -> BaseGraph:
     length L attached at the vertex; the output graph is uncolored."""
     if not c.colored or c.colors is None:
         raise ValueError("path encoding needs a colored graph")
+    size = c.n + sum(c.colors)
+    if size > MAX_INPUT_VERTICES:
+        raise SizeGuardError(f"path encoding would have {size} vertices, over the cap of {MAX_INPUT_VERTICES}")
     edges = list(c.edges)
     nxt = c.n
     for x in range(c.n):

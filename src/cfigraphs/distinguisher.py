@@ -11,10 +11,10 @@ The route for inputs of maximum degree >= 3:
      gadget degree: an edge uv lies on a cycle of length <= 8 iff
      dist(u, v) <= 7 once uv is removed (the rest of the cycle is such a
      path; a shortest such path is simple and closes with uv into a cycle).
-     Each short cycle is connected through its edges, so union-find over the
-     endpoints of those edges, found by a depth-bounded BFS per edge, gives
-     exactly the classes of union-find over the vertices of every short
-     cycle.
+     Each short cycle is connected through its edges, so the connected
+     components of the short-cycle subgraph, whose edges a depth-bounded BFS
+     per edge finds, are exactly the classes of vertices linked by chains of
+     short cycles.
   2. Inside each recovered gadget, link vertices are the ones with an edge
      leaving the gadget, and twin pairs are found by complementary adjacency
      to the middle set.
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cfi
-from .base_graph import BaseGraph, classify_linear, cycle, is_connected, path
+from .base_graph import BaseGraph, classify_linear, connected_components, cycle, is_connected, path
 from .errors import StructureError
 from .gadget import MAX_GADGET_DEGREE
 
@@ -122,22 +122,6 @@ def short_cycle_edges(g: BaseGraph, max_len: int = 8) -> list[tuple[int, int]]:
     return found
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 @dataclass
 class RecoveredGadget:
     vertices: frozenset[int]
@@ -178,16 +162,6 @@ def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset
 
 def decompose(g: BaseGraph) -> GadgetDecomposition:
     """Recover the gadget structure of a CFI graph with some base degree >= 3."""
-    uf = _UnionFind(g.n)
-    cyclic = set()
-    for u, v in short_cycle_edges(g):
-        cyclic.update((u, v))
-        uf.union(u, v)
-
-    classes: dict[int, set[int]] = {}
-    for v in cyclic:
-        classes.setdefault(uf.find(v), set()).add(v)
-
     gadgets: list[RecoveredGadget] = []
     assignment: dict[int, int] = {}  # vertex -> gadget id
     pair_to_gadget: dict[tuple[int, int], int] = {}
@@ -201,9 +175,11 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             assignment[v] = gid
         return gid
 
-    # degree >= 3 gadgets straight from the short-cycle classes
-    for root in sorted(classes):
-        verts = frozenset(classes[root])
+    # degree >= 3 gadgets straight from the short-cycle classes; short_cycle_edges
+    # keeps g.edges order, and a vertex on no short cycle is a singleton
+    for verts in connected_components(BaseGraph(g.n, tuple(short_cycle_edges(g)))):
+        if len(verts) == 1:
+            continue
         d = _gadget_size_to_degree(len(verts))
         links = sorted(v for v in verts if any(w not in verts for w in g.adjacency[v]))
         middles = verts - set(links)

@@ -14,10 +14,10 @@ defining formulas:
                      or (gadget(x,y) and middle(x) and middle(y))
 
 gadget(x,y) keeps its pairwise reading: the table enumerates the short
-cycles themselves, not the union-find classes the distinguisher builds from
-them.  Every edge of a short cycle passes ``short_cycle_edges``, so
-enumerating on the subgraph of those edges finds the same cycles without
-walking across the edges between gadgets.
+cycles themselves, not the connected components of the short-cycle subgraph
+that the distinguisher takes as gadgets.  Every edge of a short cycle passes
+``short_cycle_edges``, so enumerating on that subgraph finds the same cycles
+without walking across the edges between gadgets.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class PredicateTable:
 def build_predicate_table(g: BaseGraph) -> PredicateTable:
     n = g.n
     adj = g.adjacency_bits
-    gadget = short_cycle_pair_rows(BaseGraph.from_edges(n, short_cycle_edges(g)))
+    gadget = short_cycle_pair_rows(BaseGraph(n, tuple(short_cycle_edges(g))))
     for x in range(n):
         gadget[x] |= 1 << x  # x = y disjunct
 

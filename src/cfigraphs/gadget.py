@@ -95,11 +95,6 @@ def flip_perm(gadget: Gadget, mask: int) -> VertexPerm:
     return tuple(apply_flip(gadget, mask, x) for x in range(gadget.graph.n))
 
 
-def flip_between_middles(m1: int, m2: int) -> int:
-    """Mask of the unique color-preserving automorphism sending middle m1 to m2."""
-    return m1 ^ m2
-
-
 def lift_permutation(gadget: Gadget, pi: tuple[int, ...]) -> VertexPerm:
     """Twin-preserving automorphism extending a permutation of the first link row:
     a_i -> a_pi(i), b_i -> b_pi(i), middles by relabeling their mask bits."""

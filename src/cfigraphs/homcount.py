@@ -219,7 +219,7 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     if twisted_edge is None:
         twisted_edge = base.edges[0]
     twisted_edge = (min(twisted_edge), max(twisted_edge))
-    if twisted_edge not in base.edge_set:
+    if not base.has_edge(*twisted_edge):
         raise ValueError(f"twisted edge {twisted_edge} is not an edge of the base")
     twisted = base.edges.index(twisted_edge) if i else -1
     n, w_rank = base.n, sub.w_rank

@@ -252,12 +252,3 @@ def robber_wins(g: BaseGraph, k: int) -> bool:
         any(alive[index[(1 << v) << n | c]] for c in comps(1 << v))
         for v in range(n)
     )
-
-
-def subdivision_preserves_width(g: BaseGraph) -> dict:
-    """Assertion data: the 2-subdivision has the same treewidth as the graph."""
-    from .homcount import subdivide2
-
-    w1, _ = treewidth_exact(g)
-    w2, _ = treewidth_exact(subdivide2(g).graph)
-    return {"width": w1, "subdivided_width": w2, "equal": w1 == w2}

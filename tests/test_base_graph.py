@@ -26,6 +26,10 @@ def test_edge_count_closed_forms():
     assert len(bg.complete_bipartite(3, 3).edges) == 9
     assert len(bg.grid(2, 3).edges) == 7
     assert len(bg.petersen().edges) == 15
+    for name, params in (("P", (7,)), ("C", (9,)), ("K", (6,)), ("K", (1,)), ("Kab", (3, 4)),
+                         ("grid", (2, 3)), ("grid", (1, 5)), ("petersen", ())):
+        g = bg.build_family(name, params)
+        assert bg.FAMILY_BUILDERS[name][2](*params) == (g.n, len(g.edges)), name
 
 
 def test_degrees():
@@ -57,10 +61,32 @@ def test_classify_linear():
 
 
 def test_loops_and_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop at vertex 0"):
         bg.BaseGraph.from_edges(3, [(0, 0)])
     g = bg.BaseGraph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
     assert g.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((1, 2), (0, 1)), "edges must be sorted"),
+    (((0, 1), (0, 1)), r"duplicate edge \(0,1\)"),
+    (((0, 1), (1, 2), (0, 1)), "edges must be sorted"),
+    (((1, 0),), "out of range or not normalized"),
+    (((0, 3),), "out of range or not normalized"),
+    (((-1, 0),), "out of range or not normalized"),
+    (((0, 1), (2, 2)), "loop at vertex 2"),
+])
+def test_constructor_rejects_malformed_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        bg.BaseGraph(3, edges)
+
+
+def test_has_edge_out_of_range():
+    g = bg.path(3)  # vertex 3 is adjacent to 2 only
+    assert g.has_edge(3, 2) and g.has_edge(2, 3)
+    for v in range(-1, g.n + 1):
+        assert not g.has_edge(-1, v) and not g.has_edge(g.n, v)
+        assert not g.has_edge(v, -1) and not g.has_edge(v, g.n)
 
 
 def test_json_roundtrip_canonical():

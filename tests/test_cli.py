@@ -127,6 +127,29 @@ def test_gen_guards_cfi_size_before_building(capsys, monkeypatch):
         assert code == 2 and out == "" and "1180260 vertices" in err
 
 
+def test_gen_guards_family_size_before_building(capsys, monkeypatch):
+    # K100000 would have about 5e9 edges; the guard must fire before the builder runs
+    def refuse(*_):
+        raise AssertionError("a base graph was built past the size guard")
+
+    arity, _, size = bg.FAMILY_BUILDERS["K"]
+    monkeypatch.setitem(bg.FAMILY_BUILDERS, "K", (arity, refuse, size))
+    code, out, err = run(capsys, "gen", "K", "100000")
+    assert code == 2 and out == "" and "4999950000 edges" in err
+    # negative sides multiply to a large count but keep the builder's message
+    code, out, err = run(capsys, "gen", "grid", "-100000", "-100000")
+    assert code == 2 and "grid sides must be positive" in err
+
+
+def test_gen_guards_path_encoding_size(capsys):
+    # X(C400) has 2,400 vertices, but its colour values add up to over 10^6
+    c = cfi.build_cfi(bg.cycle(400), colored=True)
+    size = c.n + sum(c.colors)
+    assert size > bg.MAX_INPUT_VERTICES
+    code, out, err = run(capsys, "gen", "C", "400", "--variant", "Xpath")
+    assert code == 2 and out == "" and f"{size} vertices" in err
+
+
 def test_hom(tmp_path, capsys):
     p = tmp_path / "c3.json"
     run(capsys, "gen", "C", "3", "--out", str(p))

