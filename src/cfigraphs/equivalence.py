@@ -20,13 +20,13 @@ Three engines, deliberately distinct so they can cross-check each other:
   Colours are ranked jointly to dense ints first, so any int is a colour.
 * ``ck_equivalent_game``: the bijective k-pebble game (k = 2, 3) solved
   outright at tiny scale: a position of k-1 pebbles lives while its live
-  extensions admit a perfect matching.  The 3-pebble solver solves only the
-  symmetric half of its positions (p0 <= p1, mirrored), starts every
-  matching warm from the one found before it, rejects a position before
-  Kuhn when a row is empty or a column uncovered, and repeats its pass over
-  the live positions until a pass kills nothing.  It must agree with
-  ``wl_equivalent`` at dim = k-1, so it reads only the graphs and colours,
-  never refinement classes.
+  extensions admit a perfect matching.  The 3-pebble solver works in numpy
+  rounds over the symmetric half of its positions (p0 <= p1, mirrored):
+  cheap rounds kill on an empty row or an uncovered column, and exact
+  rounds match greedily, with Kuhn only where greedy gets stuck, until an
+  exact round kills nothing.  It must agree with ``wl_equivalent`` at
+  dim = k-1, so it reads only the graphs and colours, never refinement
+  classes.
 """
 
 from __future__ import annotations
@@ -384,16 +384,31 @@ def _ck_game_2(g1, g2, c1, c2) -> bool:
     return _perfect_matching(alive, [-1] * n) is not None
 
 
+def _matchable(block: np.ndarray, exact: bool) -> np.ndarray:
+    """Per position (a row of ``block``: the n uint64 row masks x -> y of its
+    bipartite graph), False when it has no perfect matching.  Cheap: only an
+    empty row or an uncovered column.  Exact: also greedy in x order, each x
+    taking its lowest free y, and ``_perfect_matching`` where greedy sticks."""
+    n = block.shape[1]
+    full = (1 << n) - 1
+    ok = (block != 0).all(axis=1) & (np.bitwise_or.reduce(block, axis=1) == full)
+    if exact:
+        used = np.zeros(len(block), dtype=np.uint64)
+        for x in range(n):
+            free = block[:, x] & ~used
+            used |= free & -free
+        for i in np.flatnonzero(ok & (used != full)):
+            ok[i] = _perfect_matching(block[i].tolist(), [-1] * n) is not None
+    return ok
+
+
 def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
     """The greatest fixpoint alive[p0, p1, q0, q1] of the bijective 3-pebble
     game over two-pebble positions (p0 -> q0, p1 -> q1); see ``_ck_game_3``."""
     n = g1.n
-    A1 = np.zeros((n, n), dtype=bool)
-    for u, v in g1.edges:
-        A1[u, v] = A1[v, u] = True
-    A2 = np.zeros((n, n), dtype=bool)
-    for u, v in g2.edges:
-        A2[u, v] = A2[v, u] = True
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    adj = np.array([g1.adjacency_bits, g2.adjacency_bits], dtype=np.uint64).reshape(2, n, 1)
+    A1, A2 = (adj & bits) != 0
     colmatch = np.asarray(c1)[:, None] == np.asarray(c2)[None, :]
     eye = np.eye(n, dtype=bool)
 
@@ -404,42 +419,37 @@ def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
         & (eye[:, :, None, None] == eye[None, None, :, :])
         & (A1[:, :, None, None] == A2[None, None, :, :])
     )
-
-    weights = (1 << np.arange(n, dtype=np.uint64))
-    rows_np = (alive.astype(np.uint64) * weights[None, None, None, :]).sum(axis=3)
-    rows = rows_np.tolist()  # rows[p][x][q] = bitmask over y of alive[p,x,q,y]
+    rows = alive @ bits  # rows[p, x, q]: bitmask over y of alive[p, x, q, y]
 
     # with p0 == p1 only q0 == q1 starts alive, so p0 <= p1 takes one of each pair
-    upper = ~np.tri(n, k=-1, dtype=bool)
-    last = [-1] * n
-    changed = True
-    while changed:
-        changed = False
-        for p0, p1, q0, q1 in np.argwhere(alive & upper[:, :, None, None]).tolist():
-            m = _perfect_matching([r0[q0] & r1[q1] for r0, r1 in zip(rows[p0], rows[p1])], last)
-            if m is None:
-                alive[p0, p1, q0, q1] = alive[p1, p0, q1, q0] = False
-                rows[p0][p1][q0] &= ~(1 << q1)
-                rows[p1][p0][q1] &= ~(1 << q0)
-                changed = True
-            else:
-                last = m
-    return alive
+    pos = np.argwhere(alive & ~np.tri(n, k=-1, dtype=bool)[:, :, None, None])
+    exact = False
+    while True:
+        ok = np.empty(len(pos), dtype=bool)
+        for i in range(0, len(pos), 4096):  # chunks bound the row blocks' memory
+            p0, p1, q0, q1 = pos[i:i + 4096].T
+            ok[i:i + 4096] = _matchable(rows[p0, :, q0] & rows[p1, :, q1], exact)
+        if exact and ok.all():
+            return (rows[..., None] & bits) != 0
+        exact = ok.all()
+        p0, p1, q0, q1 = pos[~ok].T
+        np.bitwise_and.at(rows, (np.r_[p0, p1], np.r_[p1, p0], np.r_[q0, q1]), ~bits[np.r_[q1, q0]])
+        pos = pos[ok]
 
 
 def _ck_game_3(g1, g2, c1, c2) -> bool:
     """Duplicator's win in the bijective 3-pebble game from the empty board.
 
     ``_ck_alive_3`` solves the two-pebble positions.  A position lives while
-    the bipartite graph x -> y of its live extensions has a perfect matching
-    (``_perfect_matching``, which rejects an empty row or an uncovered column
-    before Kuhn runs).  A position and its mirror (p1 -> q1, p0 -> q0) pose
-    the same matching problem, so only p0 <= p1 is solved, and every kill is
-    written to both.  Each matching starts from the last one found.  A pass
-    solves every live position once and applies each kill as it is found, so
-    later positions in the same pass see it; passes repeat until one kills
-    nothing.  A position dies only when its extensions over a superset of the
-    final live set have no perfect matching, so this is the greatest
+    the bipartite graph x -> y of its live extensions has a perfect matching.
+    A position and its mirror (p1 -> q1, p0 -> q0) pose the same matching
+    problem, so only p0 <= p1 is solved, and every kill is written to both.
+    A round judges all live positions at once against the live set at its
+    start (``_matchable``): a cheap round kills on an empty row or an
+    uncovered column, an exact round, run only after a cheap one kills
+    nothing, on a failed matching; an exact round that kills nothing ends
+    the solve.  A position dies only when its extensions over a superset of
+    the final live set have no perfect matching, so this is the greatest
     fixpoint.  Like every game solver here, it reads only the graphs and
     colours, never refinement classes."""
     n = g1.n
@@ -455,11 +465,11 @@ def ck_equivalent_game(g1: BaseGraph, g2: BaseGraph, k: int,
     by solving the bijective k-pebble game outright."""
     if k not in (2, 3):
         raise SizeGuardError("the game oracle is implemented for k in {2, 3}")
+    joint = _joint_colors(g1, g2, colors1, colors2).tolist()
     if g1.n != g2.n:
         return False
     if g1.n ** (2 * (k - 1)) > CK_STATE_GUARD:
         raise SizeGuardError("position space too large for the game oracle")
-    joint = _joint_colors(g1, g2, colors1, colors2).tolist()
     c1, c2 = joint[:g1.n], joint[g1.n:]
     if k == 2:
         return _ck_game_2(g1, g2, c1, c2)

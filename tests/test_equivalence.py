@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
 import tracemalloc
 from collections import Counter
@@ -122,6 +124,12 @@ def test_game_oracle_small():
     assert not eqv.ck_equivalent_game(two, six, 3)
     assert eqv.ck_equivalent_game(six, six, 3)
     assert not eqv.ck_equivalent_game(bg.path(2), bg.path(3), 2)  # size mismatch
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_game_checks_colors_before_size_mismatch(k):
+    with pytest.raises(ValueError, match="colors length"):
+        eqv.ck_equivalent_game(bg.path(3), bg.path(4), k, [0])
 
 
 def test_game_oracle_agrees_with_wl():
@@ -601,6 +609,29 @@ def test_perfect_matching_fresh_and_repaired(case):
             assert got == stored
 
 
+@st.composite
+def row_blocks(draw):
+    n = draw(st.integers(1, 6))
+    block = draw(st.lists(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                          min_size=1, max_size=8))
+    return n, block
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(row_blocks())
+@hypothesis.example((2, [[0b11, 0b01]]))  # lowest-bit greedy sticks; 0 -> 1, 1 -> 0 fits
+@hypothesis.example((2, [[0b01, 0b01], [0b10, 0b00]]))  # uncovered column; empty row
+def test_matchable_cheap_and_exact(case):
+    n, block = case
+    fits = [any(all((rows[x] >> perm[x]) & 1 for x in range(n))
+                for perm in itertools.permutations(range(n))) for rows in block]
+    plausible = [all(rows) and functools.reduce(operator.or_, rows) == (1 << n) - 1
+                 for rows in block]
+    arr = np.array(block, dtype=np.uint64)
+    assert eqv._matchable(arr, exact=True).tolist() == fits
+    assert eqv._matchable(arr, exact=False).tolist() == plausible
+
+
 def naive_ck_alive_3(g1, g2, c1, c2):
     """The bijective 3-pebble game's surviving two-pebble positions, by trying
     every bijection; tiny scale only.
@@ -679,10 +710,22 @@ def test_game_fixpoint_matches_bijection_search(pair):
     assert eqv.ck_equivalent_game(g1, g2, 2, c1, c2) == naive_ck_game_2(g1, g2, c1, c2)
 
 
+def test_game_fixpoint_needs_exact_rounds():
+    # colour classes of 4 + 3 against 3 + 4 vertices, no edges: every position
+    # leaves at least one unpebbled vertex of each colour on both sides, so no
+    # row is empty and no column uncovered, yet no bijection keeps colours, so
+    # exact rounds must kill every position
+    g = bg.BaseGraph.from_edges(7, [])
+    alive = eqv._ck_alive_3(g, g, [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1])
+    assert not alive.any()
+
+
 # (base, colored, second graph) -> (alive positions, sha256 of np.packbits(alive))
 # of the 3-pebble game fixpoint against the twist or a copy, each relabelled by
 # random.Random(7); computed with the unmirrored solver that re-solved every
-# position from a fresh matching
+# position from a fresh matching, and the C4 and K1,3 entries with the
+# warm-pass solver (one Python Kuhn call per live position and pass) that
+# preceded the whole-array rounds
 GOLDEN_GAME_FIXPOINTS = {
     ("P2", False, "tilde"): (0, "b2069f33fd956c79679b2e5a25c60cd0eab63b023d12111ff0242ae50896e9e1"),
     ("P2", False, "self"): (380, "f4fdd3b61655a1cdc9b48747599de3d9ac178885a4d9b59409a9d5d35e0a8ef7"),
@@ -696,11 +739,20 @@ GOLDEN_GAME_FIXPOINTS = {
     ("C3", False, "self"): (31752, "948fd755ebda355518ccb37966e51eda41f325f9662e98585994f2a9a7b5209a"),
     ("C3", True, "tilde"): (0, "8becefb234bf9c1a5eba46ce84de8d7dd8c4a6a6241c3a12459bffd32e781d49"),
     ("C3", True, "self"): (648, "4451c70875e727206fa39914e054741a65bffe54f3d8272332a2560aa5d22523"),
+    ("C4", False, "tilde"): (0, "7bc2e3a66be154befef21a91a6fad85db1263898b0fb66a90c12de285c76e411"),
+    ("C4", False, "self"): (95616, "9b89a43157d45ae916839eadca02fb693455cf16fc47fc7e17e8002f31482f5d"),
+    ("C4", True, "tilde"): (0, "7bc2e3a66be154befef21a91a6fad85db1263898b0fb66a90c12de285c76e411"),
+    ("C4", True, "self"): (1152, "94cdae4b35c164f4b2d193a35c13ddfeef18e2736f24a37c7b4809693473c9fa"),
+    ("K1,3", False, "tilde"): (0, "9766004c10f25a12a2794f3792417e1668d362968cb856cac3a3b5ab87fa808b"),
+    ("K1,3", False, "self"): (1729, "ce77d1163db6d44e267dbc148377c34be1acdc50e554d716cb776936fa6ce7a2"),
+    ("K1,3", True, "tilde"): (0, "9766004c10f25a12a2794f3792417e1668d362968cb856cac3a3b5ab87fa808b"),
+    ("K1,3", True, "self"): (361, "5dd4272a6243f1594a86aa2389361e2309ec1b02bb3477062d3d1dfca1fdc434"),
 }
 
 
 def test_golden_game_fixpoint():
-    bases = {"P2": bg.path(2), "P3": bg.path(3), "C3": bg.cycle(3)}
+    bases = {"P2": bg.path(2), "P3": bg.path(3), "C3": bg.cycle(3), "C4": bg.cycle(4),
+             "K1,3": bg.complete_bipartite(1, 3)}
     for (name, colored, other), want in GOLDEN_GAME_FIXPOINTS.items():
         g1, g2, c1, c2 = _relabelled_twist(bases[name], colored, other == "tilde")
         if c1 is None:
