@@ -422,17 +422,17 @@ def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
     rows = alive @ bits  # rows[p, x, q]: bitmask over y of alive[p, x, q, y]
 
     # with p0 == p1 only q0 == q1 starts alive, so p0 <= p1 takes one of each pair
-    pos = np.argwhere(alive & ~np.tri(n, k=-1, dtype=bool)[:, :, None, None])
+    pos = np.flatnonzero(alive & ~np.tri(n, k=-1, dtype=bool)[:, :, None, None])
     exact = False
     while True:
         ok = np.empty(len(pos), dtype=bool)
         for i in range(0, len(pos), 4096):  # chunks bound the row blocks' memory
-            p0, p1, q0, q1 = pos[i:i + 4096].T
+            p0, p1, q0, q1 = np.unravel_index(pos[i:i + 4096], alive.shape)
             ok[i:i + 4096] = _matchable(rows[p0, :, q0] & rows[p1, :, q1], exact)
         if exact and ok.all():
             return (rows[..., None] & bits) != 0
         exact = ok.all()
-        p0, p1, q0, q1 = pos[~ok].T
+        p0, p1, q0, q1 = np.unravel_index(pos[~ok], alive.shape)
         np.bitwise_and.at(rows, (np.r_[p0, p1], np.r_[p1, p0], np.r_[q0, q1]), ~bits[np.r_[q1, q0]])
         pos = pos[ok]
 
