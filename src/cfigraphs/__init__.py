@@ -19,17 +19,11 @@ from .cfi import (
     build_tilde,
     path_encode,
     twist,
-    twist_parity,
 )
-from .distinguisher import Verdict, distinguish, recover_base
-from .equivalence import (
-    ck_equivalent_game,
-    end_distance_profile,
-    lk_equivalent,
-    wl_equivalent,
-)
+from .distinguisher import Verdict, distinguish
+from .equivalence import ck_equivalent_game, lk_equivalent, wl_equivalent
 from .homcount import gf2_count, hom_count, hom_gap, subdivide2
-from .iso import automorphism_count, automorphisms, find_isomorphism
+from .iso import automorphisms, find_isomorphism
 from .treewidth import TreeDecomposition, robber_wins, treewidth_exact
 
 __all__ = [
@@ -47,19 +41,15 @@ __all__ = [
     "build_tilde",
     "path_encode",
     "twist",
-    "twist_parity",
     "Verdict",
     "distinguish",
-    "recover_base",
     "ck_equivalent_game",
-    "end_distance_profile",
     "lk_equivalent",
     "wl_equivalent",
     "gf2_count",
     "hom_count",
     "hom_gap",
     "subdivide2",
-    "automorphism_count",
     "automorphisms",
     "find_isomorphism",
     "TreeDecomposition",

@@ -241,6 +241,11 @@ def build_family(name: str, params: Sequence[int] = ()) -> BaseGraph:
 # -- I/O ----------------------------------------------------------------------
 
 
+def graph_doc(g: BaseGraph) -> dict:
+    """The JSON document of a graph alone: {"n", "edges"}."""
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
+
+
 def write_graph(
     g: BaseGraph,
     fmt: str = "json",
@@ -249,7 +254,7 @@ def write_graph(
 ) -> bytes:
     """Serialize to canonical JSON ({"n", "edges"} plus optional colors/names) or DIMACS."""
     if fmt == "json":
-        doc: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
+        doc = graph_doc(g)
         if colors is not None:
             doc["colors"] = list(colors)
         if names is not None:

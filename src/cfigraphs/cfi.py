@@ -19,12 +19,13 @@ times; only the parity of its size matters up to isomorphism.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .base_graph import MAX_INPUT_VERTICES, BaseGraph, Edge, is_connected
-from .errors import SizeGuardError
+from .errors import GraphFormatError, SizeGuardError
 from .gadget import Gadget, build_gadget, flip_perm, lift_permutation
 
 
@@ -48,6 +49,25 @@ class Middle:
 
 
 CfiVertex = Union[Link, Middle]
+
+_LINK_NAME = re.compile(r"^([ab])\((\d+),(\d+)\)$")
+_MIDDLE_NAME = re.compile(r"^m\((\d+);([\d,]*)\)$")
+
+
+def parse_names(names: Sequence[str]) -> list[CfiVertex]:
+    """The vertices named by ``Link.name`` and ``Middle.name``, in order."""
+    parsed: list[CfiVertex] = []
+    for s in names:
+        m = _LINK_NAME.match(s)
+        if m:
+            parsed.append(Link(int(m.group(2)), int(m.group(3)), m.group(1)))
+            continue
+        m = _MIDDLE_NAME.match(s)
+        if m:
+            parsed.append(Middle(int(m.group(1)), tuple(int(t) for t in m.group(2).split(",") if t)))
+            continue
+        raise GraphFormatError(f"unrecognized vertex name {s!r}")
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -128,13 +148,17 @@ def _build(base: BaseGraph, colored: bool, twist: frozenset[Edge]) -> CfiGraph:
     return CfiGraph(base, colored, twist, blocks, tuple(offsets), tuple(sorted(edges)), colors)
 
 
-def build_cfi(base: BaseGraph, colored: bool = False) -> CfiGraph:
-    """The untwisted CFI graph over a connected base with at least two vertices."""
+def _checked(base: BaseGraph) -> BaseGraph:
     if base.n < 2:
         raise ValueError("base graph needs at least two vertices")
     if not is_connected(base):
         raise ValueError("base graph must be connected")
-    return _build(base, colored, frozenset())
+    return base
+
+
+def build_cfi(base: BaseGraph, colored: bool = False) -> CfiGraph:
+    """The untwisted CFI graph over a connected base with at least two vertices."""
+    return _build(_checked(base), colored, frozenset())
 
 
 def twist(c: CfiGraph, e: tuple[int, int]) -> CfiGraph:
@@ -153,12 +177,7 @@ def apply_twist_sequence(c: CfiGraph, seq: Sequence[tuple[int, int]]) -> CfiGrap
 
 def build_tilde(base: BaseGraph, colored: bool = False) -> CfiGraph:
     """The once-twisted companion; the twisted edge is the lexicographically least."""
-    c = build_cfi(base, colored)
-    return twist(c, base.edges[0])
-
-
-def twist_parity(c: CfiGraph) -> str:
-    return "even" if len(c.twist) % 2 == 0 else "odd"
+    return _build(_checked(base), colored, frozenset(base.edges[:1]))
 
 
 def expected_vertex_count(base: BaseGraph) -> int:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from dataclasses import asdict
 
@@ -20,10 +19,6 @@ from .errors import GraphFormatError, SizeGuardError, StructureError
 
 def _emit(obj) -> None:
     print(json.dumps(obj))
-
-
-def _graph_to_doc(g: bg.BaseGraph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
 def _load(path: str, fmt: str):
@@ -72,7 +67,7 @@ def _pushforward(values, perm):
 def _cmd_distinguish(args) -> int:
     g, _ = _load(args.file, args.format)
     verdict = distinguisher.distinguish(g)
-    _emit({"verdict": verdict.label, "base": _graph_to_doc(verdict.base)})
+    _emit({"verdict": verdict.label, "base": bg.graph_doc(verdict.base)})
     return 0
 
 
@@ -111,32 +106,12 @@ def _cmd_hom(args) -> int:
     return 0
 
 
-_NAME_LINK = re.compile(r"^([ab])\((\d+),(\d+)\)$")
-_NAME_MIDDLE = re.compile(r"^m\((\d+);([\d,]*)\)$")
-
-
-def _parse_names(names: list[str]) -> list:
-    parsed = []
-    for s in names:
-        m = _NAME_LINK.match(s)
-        if m:
-            parsed.append(cfi.Link(int(m.group(2)), int(m.group(3)), m.group(1)))
-            continue
-        m = _NAME_MIDDLE.match(s)
-        if m:
-            members = tuple(int(t) for t in m.group(2).split(",") if t)
-            parsed.append(cfi.Middle(int(m.group(1)), members))
-            continue
-        raise GraphFormatError(f"unrecognized vertex name {s!r}")
-    return parsed
-
-
 def _cmd_focheck(args) -> int:
     g, meta = _load(args.file, args.format)
     base, _ = _load(args.base_file, args.format)
     if "names" not in meta:
         raise GraphFormatError("focheck needs a graph file with vertex names")
-    verts = _parse_names(meta["names"])
+    verts = cfi.parse_names(meta["names"])
     if len(verts) != g.n:
         raise GraphFormatError("names array does not cover the graph")
     counts = fo_eval.predicate_agreement(verts, fo_eval.build_predicate_table(g))

@@ -125,7 +125,6 @@ def short_cycle_edges(g: BaseGraph, max_len: int = 8) -> list[tuple[int, int]]:
 @dataclass
 class RecoveredGadget:
     vertices: frozenset[int]
-    degree: int
     pairs: tuple[tuple[int, int], ...]  # twin pairs, each sorted
     middles: frozenset[int]
 
@@ -166,9 +165,9 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
     assignment: dict[int, int] = {}  # vertex -> gadget id
     pair_to_gadget: dict[tuple[int, int], int] = {}
 
-    def add_gadget(vertices: frozenset[int], degree: int, pairs, middles) -> int:
+    def add_gadget(vertices: frozenset[int], pairs, middles) -> int:
         gid = len(gadgets)
-        gadgets.append(RecoveredGadget(vertices, degree, tuple(sorted(pairs)), frozenset(middles)))
+        gadgets.append(RecoveredGadget(vertices, tuple(sorted(pairs)), frozenset(middles)))
         for v in vertices:
             if v in assignment:
                 raise StructureError(f"vertex {v} assigned to two gadgets")
@@ -186,7 +185,7 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         if len(links) != 2 * d:
             raise StructureError(f"gadget candidate has {len(links)} link vertices, not {2 * d}")
         pairs = _twin_pairs_by_complement(g, links, frozenset(middles))
-        add_gadget(verts, d, pairs, middles)
+        add_gadget(verts, pairs, middles)
 
     # grow degree <= 2 gadgets outward from known link pairs, naming the
     # gadget across each pair's base edge on the way
@@ -217,7 +216,7 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
         middles = {w for w in around if w not in assignment} - {y1, y2}
         pair_to_gadget[new_pair] = gid
         if len(middles) == 1:
-            pair_to_gadget[pair] = add_gadget(frozenset({y1, y2} | middles), 1, [new_pair], middles)
+            pair_to_gadget[pair] = add_gadget(frozenset({y1, y2} | middles), [new_pair], middles)
         elif len(middles) == 2:
             other = set()
             for m in middles:
@@ -227,7 +226,7 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             o1, o2 = sorted(other)
             verts = frozenset({y1, y2, o1, o2} | middles)
             second = (o1, o2)
-            pair_to_gadget[pair] = add_gadget(verts, 2, [new_pair, second], middles)
+            pair_to_gadget[pair] = add_gadget(verts, [new_pair, second], middles)
             frontier.append(second)
         else:
             raise StructureError(f"frontier gadget has {len(middles)} middle vertices, expected 1 or 2")
@@ -317,8 +316,3 @@ def distinguish(g: BaseGraph) -> Verdict:
     dec = decompose(g)
     parity = orientation_parity(g, dec)
     return Verdict(parity == "odd", dec.base)
-
-
-def recover_base(g: BaseGraph) -> BaseGraph:
-    """The base graph, up to isomorphism, of a CFI graph or its twisted companion."""
-    return distinguish(g).base

@@ -31,14 +31,13 @@ Three engines, deliberately distinct so they can cross-check each other:
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .base_graph import BaseGraph, classify_linear
+from .base_graph import BaseGraph
 from .errors import SizeGuardError
 
 LK_TUPLE_GUARD = 250_000
@@ -80,15 +79,20 @@ def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return ids, int(new.sum()) + 1
 
 
-def _atomic_rows(g: BaseGraph, col: np.ndarray, k: int) -> np.ndarray:
-    """Atomic-type signature of every k-tuple: coordinate colors (``col``,
-    ranked by ``_joint_colors``) plus the equality/adjacency pattern of every
-    coordinate pair."""
-    n = g.n
-    rel = np.full((n, n), 0, dtype=np.int64)
+def _pair_types(g: BaseGraph) -> np.ndarray:
+    """The type of every vertex pair: 0 apart, 1 adjacent, 2 equal."""
+    rel = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.edges:
         rel[u, v] = rel[v, u] = 1
     np.fill_diagonal(rel, 2)
+    return rel
+
+
+def _atomic_rows(g: BaseGraph, col: np.ndarray, k: int) -> np.ndarray:
+    """Atomic-type signature of every k-tuple: coordinate colors (``col``,
+    ranked by ``_joint_colors``) plus the pair type of every coordinate pair."""
+    n = g.n
+    rel = _pair_types(g)
     idx = np.arange(n ** k)
     digits = [(idx // n ** i) % n for i in range(k)]
     cols = [col[d] for d in digits]
@@ -407,17 +411,13 @@ def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
     game over two-pebble positions (p0 -> q0, p1 -> q1); see ``_ck_game_3``."""
     n = g1.n
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    adj = np.array([g1.adjacency_bits, g2.adjacency_bits], dtype=np.uint64).reshape(2, n, 1)
-    A1, A2 = (adj & bits) != 0
     colmatch = np.asarray(c1)[:, None] == np.asarray(c2)[None, :]
-    eye = np.eye(n, dtype=bool)
 
     # alive[p0,p1,q0,q1]: the two-pebble position (p0->q0, p1->q1) survives
     alive = (
         colmatch[:, None, :, None]
         & colmatch[None, :, None, :]
-        & (eye[:, :, None, None] == eye[None, None, :, :])
-        & (A1[:, :, None, None] == A2[None, None, :, :])
+        & (_pair_types(g1)[:, :, None, None] == _pair_types(g2)[None, None, :, :])
     )
     rows = alive @ bits  # rows[p, x, q]: bitmask over y of alive[p, x, q, y]
 
@@ -474,26 +474,3 @@ def ck_equivalent_game(g1: BaseGraph, g2: BaseGraph, k: int,
     if k == 2:
         return _ck_game_2(g1, g2, c1, c2)
     return _ck_game_3(g1, g2, c1, c2)
-
-
-# -- endpoint distances ----------------------------------------------------------
-
-
-def end_distance_profile(g: BaseGraph) -> Counter:
-    """Histogram of shortest distances to a vertex of degree <= 1; defined on
-    disjoint unions of paths only."""
-    if any(s.kind != "path" for s in classify_linear(g)):
-        raise ValueError("profile defined on disjoint unions of paths")
-    dist = [-1] * g.n
-    queue = deque()
-    for v in range(g.n):
-        if g.degree(v) <= 1:
-            dist[v] = 0
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return Counter(dist)

@@ -25,16 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .base_graph import BaseGraph
 from .cfi import CfiVertex, Link, build_cfi, build_tilde
 from .distinguisher import short_cycle_edges, short_cycle_pair_rows
+from .errors import SizeGuardError
+
+# walks of length <= 7 on the short-cycle subgraph plus the n^2 bits of the
+# rows; CFI(K6) needs 7.3e7 (about 1 s), K14 9.5e8 (21 s), CFI(K7) 2.7e9 (97 s)
+TABLE_GUARD = 300_000_000
 
 
 @dataclass(frozen=True)
 class PredicateTable:
     """Boolean tables for the color-recovery predicates; rows are bitmasks."""
 
-    n: int
     gadget: tuple[int, ...]
     link: tuple[bool, ...]
     twin: tuple[int, ...]
@@ -56,10 +62,26 @@ class PredicateTable:
         return bool((self.same_color[x] >> y) & 1)
 
 
+def _walk_count(n: int, edges: Sequence[tuple[int, int]]) -> float:
+    """The walks of length 1..7 along the edges from every vertex: a bound on
+    the trails ``short_cycles`` extends."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]]
+    walks, total = np.ones(n), 0.0
+    for _ in range(7):
+        walks = np.bincount(dst, weights=walks[src], minlength=n)
+        total += walks.sum()
+    return total
+
+
 def build_predicate_table(g: BaseGraph) -> PredicateTable:
     n = g.n
+    cycle_edges = tuple(short_cycle_edges(g))
+    cost = _walk_count(n, cycle_edges) + n * n
+    if cost > TABLE_GUARD:
+        raise SizeGuardError(f"predicate table guarded at {TABLE_GUARD:.0e} walks and row bits, not {cost:.1e}")
     adj = g.adjacency_bits
-    gadget = short_cycle_pair_rows(BaseGraph(n, tuple(short_cycle_edges(g))))
+    gadget = short_cycle_pair_rows(BaseGraph(n, cycle_edges))
     for x in range(n):
         gadget[x] |= 1 << x  # x = y disjunct
 
@@ -87,7 +109,7 @@ def build_predicate_table(g: BaseGraph) -> PredicateTable:
         if not link[x]:
             row |= gadget[x] & middle_mask
         same[x] = row
-    return PredicateTable(n, tuple(gadget), link, tuple(twin), tuple(same))
+    return PredicateTable(tuple(gadget), link, tuple(twin), tuple(same))
 
 
 def check_same_color(base: BaseGraph) -> bool:

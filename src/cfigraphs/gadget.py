@@ -130,14 +130,6 @@ class MapClass:
     twin_preserving: bool
     link_preserving: bool
 
-    @property
-    def label(self) -> str:
-        if self.twin_preserving:
-            return "twin_preserving"
-        if self.link_preserving:
-            return "link_preserving"
-        return "neither"
-
 
 def classify_map(gadget: Gadget, perm: VertexPerm) -> MapClass:
     """Classify a verified automorphism: does it fix the link set, and does it

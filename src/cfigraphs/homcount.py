@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .base_graph import BaseGraph, Edge
-from .cfi import CfiGraph, Link, build_cfi, twist
+from .cfi import CfiGraph, Link, build_cfi, build_tilde
 from .errors import SizeGuardError
 
 HOM_PATTERN_GUARD = 14
@@ -254,9 +254,7 @@ def _fiber_setup(base: BaseGraph, i: int) -> tuple[BaseGraph, BaseGraph, tuple[i
     """The subdivision, the CFI graph (twisted when i == 1) and the fiber of
     every subdivision vertex under the projection, as a vertex bitmask of the
     CFI graph; built once per (base, i)."""
-    c = build_cfi(base)
-    if i == 1:
-        c = twist(c, base.edges[0])
+    c = build_tilde(base) if i == 1 else build_cfi(base)
     p, sub = projection(c)
     fiber_of = [0] * sub.graph.n
     for idx, target in enumerate(p):
@@ -278,6 +276,4 @@ def hom_gap(base: BaseGraph) -> tuple[int, int]:
     sub = subdivide2(base)
     if sub.graph.n > HOM_PATTERN_GUARD:  # before the CFI graphs, which grow exponentially in the degree
         raise SizeGuardError(f"pattern graphs guarded at {HOM_PATTERN_GUARD} vertices")
-    y0 = build_cfi(base)
-    y1 = twist(y0, base.edges[0])
-    return (hom_count(sub.graph, y0.graph), hom_count(sub.graph, y1.graph))
+    return (hom_count(sub.graph, build_cfi(base).graph), hom_count(sub.graph, build_tilde(base).graph))

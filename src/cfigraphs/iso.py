@@ -121,11 +121,10 @@ def find_isomorphism(
     g2: BaseGraph,
     colors1: Optional[Sequence[int]] = None,
     colors2: Optional[Sequence[int]] = None,
-    guard: int = ISO_SIZE_GUARD,
 ) -> Optional[tuple[int, ...]]:
     """A verified isomorphism g1 -> g2, or None after exhausting the search."""
-    if max(g1.n, g2.n) > guard:
-        raise SizeGuardError(f"isomorphism search guarded at {guard} vertices")
+    if max(g1.n, g2.n) > ISO_SIZE_GUARD:
+        raise SizeGuardError(f"isomorphism search guarded at {ISO_SIZE_GUARD} vertices")
     res = _search(g1, g2, colors1, colors2, find_all=False)
     if not res:
         return None
@@ -138,10 +137,6 @@ def automorphisms(g: BaseGraph, colors: Optional[Sequence[int]] = None) -> list[
     if g.n > ISO_SIZE_GUARD:
         raise SizeGuardError(f"automorphism search guarded at {ISO_SIZE_GUARD} vertices")
     return _search(g, g, colors, colors, find_all=True)
-
-
-def automorphism_count(g: BaseGraph, colors: Optional[Sequence[int]] = None) -> int:
-    return len(automorphisms(g, colors))
 
 
 # -- structure of CFI maps ----------------------------------------------------

@@ -159,7 +159,7 @@ def check_distinguisher(seed: int) -> dict:
                 runs += 1
                 if verdict.twisted != twisted:
                     ok = False
-        recovered = distinguisher.recover_base(cfi.build_cfi(base).graph)
+        recovered = distinguisher.distinguish(cfi.build_cfi(base).graph).base
         if recovered.n != base.n or iso.find_isomorphism(recovered, base) is None:
             ok = False
     t0 = time.perf_counter()

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfigraphs import base_graph as bg
-from cfigraphs import cfi
+from cfigraphs import cfi, suite
 from cfigraphs.base_graph import LinearShape, classify_linear
+from cfigraphs.errors import GraphFormatError
 
 
 BASES = {
@@ -64,6 +65,10 @@ def test_preconditions():
         cfi.build_cfi(bg.BaseGraph(1, ()))
     with pytest.raises(ValueError):
         cfi.build_cfi(bg.disjoint_union(bg.cycle(3), bg.cycle(3)))
+    with pytest.raises(ValueError):
+        cfi.build_tilde(bg.BaseGraph(1, ()))
+    with pytest.raises(ValueError):
+        cfi.build_tilde(bg.disjoint_union(bg.cycle(3), bg.cycle(3)))
 
 
 def test_vertex_count_formula():
@@ -135,12 +140,20 @@ def test_twist_involution_and_commutation():
 def test_twist_parity():
     base = bg.complete(4)
     c = cfi.build_cfi(base)
-    assert cfi.twist_parity(c) == "even"
+    assert len(c.twist) == 0
     c = cfi.twist(c, base.edges[0])
-    assert cfi.twist_parity(c) == "odd"
+    assert len(c.twist) == 1
     c = cfi.apply_twist_sequence(c, [base.edges[1], base.edges[2]])
-    assert cfi.twist_parity(c) == "odd"
     assert len(c.twist) == 3
+
+
+def test_build_tilde_twists_the_least_edge():
+    bases = {**suite._bases_for_distinguisher(), "P2": bg.path(2), "C3": bg.cycle(3), "C4": bg.cycle(4)}
+    for base in bases.values():
+        for colored in (False, True):
+            tilde = cfi.build_tilde(base, colored)
+            want = cfi.twist(cfi.build_cfi(base, colored), base.edges[0])
+            assert (tilde.edges, tilde.colors, tilde.twist) == (want.edges, want.colors, want.twist)
 
 
 def test_colors():
@@ -189,6 +202,15 @@ def test_export_roundtrip():
     assert len(set(names)) == g.n
 
 
+def test_parse_names_inverts_name():
+    c = cfi.build_tilde(bg.grid(2, 3))
+    assert cfi.parse_names(c.names()) == list(c.vertices)
+    assert cfi.parse_names(["m(4;)"]) == [cfi.Middle(4, ())]
+    for bad in ("c(0,1)", "a(0,1", "m(0;1;2)", "a(-1,2)"):
+        with pytest.raises(GraphFormatError):
+            cfi.parse_names([bad])
+
+
 def test_gadget_flip_map_is_isomorphism_onto_image():
     import random
 
@@ -226,4 +248,4 @@ def test_twist_set_determines_graph(name, rnd):
         parity[e] = parity.get(e, 0) ^ 1
     expected = frozenset(e for e, p in parity.items() if p)
     assert c.twist == expected
-    assert cfi.twist_parity(c) == ("even" if len(seq) % 2 == 0 else "odd")
+    assert len(c.twist) % 2 == len(seq) % 2

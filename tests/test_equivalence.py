@@ -165,26 +165,6 @@ def test_row_matrix_guard():
     assert peak < 1 << 20
 
 
-def test_end_distance_profile():
-    assert eqv.end_distance_profile(bg.path(4)) == Counter({0: 2, 1: 2, 2: 1})
-    assert eqv.end_distance_profile(bg.path(1)) == Counter({0: 2})
-    # even path length: the twisted pair differs already at the raw histogram
-    y = cfi.build_cfi(bg.path(4)).graph
-    yt = cfi.build_tilde(bg.path(4)).graph
-    py, pt = eqv.end_distance_profile(y), eqv.end_distance_profile(yt)
-    assert max(py) == 6 and max(pt) == 5
-    assert py != pt
-    # odd path length: raw histograms coincide (two center vertices on each
-    # side); the counting separation needs one more refinement level, which
-    # color refinement supplies
-    y3 = cfi.build_cfi(bg.path(3)).graph
-    yt3 = cfi.build_tilde(bg.path(3)).graph
-    assert eqv.end_distance_profile(y3) == eqv.end_distance_profile(yt3)
-    assert not eqv.wl_equivalent(y3, yt3, 1)
-    with pytest.raises(ValueError):
-        eqv.end_distance_profile(bg.cycle(4))
-
-
 def test_reports_round_counts():
     rep = eqv.wl_equivalent_report(bg.cycle(5), bg.cycle(5), 1)
     assert rep.equivalent and len(rep.rounds) >= 1

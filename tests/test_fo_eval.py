@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from cfigraphs import base_graph as bg
-from cfigraphs import cfi, fo_eval, iso
+from cfigraphs import cfi, cli, fo_eval, iso
 from cfigraphs import distinguisher as dg
+from cfigraphs.errors import SizeGuardError
 
 
 def _table_for(base):
@@ -140,3 +142,33 @@ def test_gadget_rows_match_full_graph_enumeration():
         table = fo_eval.build_predicate_table(base)
         rows = dg.short_cycle_pair_rows(base)
         assert table.gadget == tuple(row | (1 << x) for x, row in enumerate(rows))
+
+
+def test_walk_count_on_complete_graph():
+    # from each of K4's vertices, 3^L walks of length L
+    assert fo_eval._walk_count(4, bg.complete(4).edges) == sum(4 * 3 ** length for length in range(1, 8))
+    assert fo_eval._walk_count(3, ()) == 0
+
+
+def test_table_guard_refuses_dense_inputs_at_once():
+    # K18's short-cycle subgraph has 7.9e9 walks; the enumeration ran for minutes
+    t0 = time.monotonic()
+    with pytest.raises(SizeGuardError):
+        fo_eval.build_predicate_table(bg.complete(18))
+    assert time.monotonic() - t0 < 1.0
+    # larger tables than the suite and the benchmark build stay under it
+    for base in (bg.complete(5), bg.grid(8, 8)):
+        fo_eval.build_predicate_table(cfi.build_cfi(base).graph)
+
+
+def test_focheck_on_dense_graph_exits_2(tmp_path, capsys):
+    names = [cfi.Link(0, v, "a").name() for v in range(1, 19)]
+    graph = tmp_path / "k18.json"
+    graph.write_bytes(bg.write_graph(bg.complete(18), names=names))
+    base = tmp_path / "base.json"
+    base.write_bytes(bg.write_graph(bg.complete(4)))
+    t0 = time.monotonic()
+    assert cli.main(["focheck", str(graph), "--base-file", str(base)]) == 2
+    assert time.monotonic() - t0 < 2.0
+    out = capsys.readouterr()
+    assert out.out == "" and "predicate table guarded" in out.err

@@ -102,9 +102,9 @@ def test_classify_counterexamples():
         cls = gd.classify_map(g, perm)
         assert not cls.twin_preserving
     # the d=2 map keeps links on links; d in {1,4} mixes them into middles
-    assert gd.classify_map(gd.build_gadget(2), gd.sample_nontwin_automorphism(2)).label == "link_preserving"
+    assert gd.classify_map(gd.build_gadget(2), gd.sample_nontwin_automorphism(2)).link_preserving
     for d in (1, 4):
-        assert gd.classify_map(gd.build_gadget(d), gd.sample_nontwin_automorphism(d)).label == "neither"
+        assert not gd.classify_map(gd.build_gadget(d), gd.sample_nontwin_automorphism(d)).link_preserving
     with pytest.raises(ValueError):
         gd.sample_nontwin_automorphism(3)
 
