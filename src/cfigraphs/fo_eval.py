@@ -79,7 +79,7 @@ def build_predicate_table(g: BaseGraph) -> PredicateTable:
     cycle_edges = tuple(short_cycle_edges(g))
     cost = _walk_count(n, cycle_edges) + n * n
     if cost > TABLE_GUARD:
-        raise SizeGuardError(f"predicate table guarded at {TABLE_GUARD:.0e} walks and row bits, not {cost:.1e}")
+        raise SizeGuardError(f"predicate table guarded at {TABLE_GUARD:.0e} walks plus row bits; this input has {cost:.1e}")
     adj = g.adjacency_bits
     gadget = short_cycle_pair_rows(BaseGraph(n, cycle_edges))
     for x in range(n):

@@ -276,4 +276,5 @@ def hom_gap(base: BaseGraph) -> tuple[int, int]:
     sub = subdivide2(base)
     if sub.graph.n > HOM_PATTERN_GUARD:  # before the CFI graphs, which grow exponentially in the degree
         raise SizeGuardError(f"pattern graphs guarded at {HOM_PATTERN_GUARD} vertices")
-    return (hom_count(sub.graph, build_cfi(base).graph), hom_count(sub.graph, build_tilde(base).graph))
+    y, yt = build_cfi(base), build_tilde(base)
+    return (hom_count(sub.graph, y.graph), hom_count(sub.graph, yt.graph))
