@@ -9,12 +9,15 @@ The route for inputs of maximum degree >= 3:
      short cycle iff they share a gadget.  These classes come from edges,
      not from enumerated cycles, whose number grows exponentially with the
      gadget degree: an edge uv lies on a cycle of length <= 8 iff
-     dist(u, v) <= 7 once uv is removed (the rest of the cycle is such a
-     path; a shortest such path is simple and closes with uv into a cycle).
-     Each short cycle is connected through its edges, so the connected
-     components of the short-cycle subgraph, whose edges a depth-bounded BFS
-     per edge finds, are exactly the classes of vertices linked by chains of
-     short cycles.
+     dist(u, v) <= 7 once uv is removed (a shortest such path is simple and
+     closes with uv into a cycle), which a bidirectional BFS decides.  The
+     classes, the components of the short-cycle subgraph, grow in one
+     union-find pass over the edges.  An edge whose ends are already joined
+     cannot change them and gets no BFS.  When uv's BFS meets at radius sum
+     d, every meeting vertex lies on a shortest u-v path of g - uv, and so
+     does each neighbour one level nearer u or v of a vertex on such a path;
+     each such path closes with uv into a cycle of length d + 1 <= 8, so all
+     these vertices join u's class at once.
   2. Inside each recovered gadget, link vertices are the ones with an edge
      leaving the gadget, and twin pairs are found by complementary adjacency
      to the middle set.
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cfi
-from .base_graph import BaseGraph, classify_linear, connected_components, cycle, is_connected, path
+from .base_graph import BaseGraph, classify_linear, cycle, is_connected, path
 from .errors import StructureError
 from .gadget import MAX_GADGET_DEGREE
 
@@ -52,7 +55,7 @@ def short_cycles(g: BaseGraph, max_len: int = 8) -> list[tuple[int, ...]]:
     Canonical form: starts at its least vertex, and the second vertex is
     smaller than the last.
     """
-    adj = g.sorted_adjacency
+    adj, nbrs = g.sorted_adjacency, g.adjacency
     cycles = []
     on_path = [False] * g.n
     # not named `path`, the imported base graph family: CPython 3.11 compiles
@@ -60,7 +63,7 @@ def short_cycles(g: BaseGraph, max_len: int = 8) -> list[tuple[int, ...]]:
     trail: list[int] = []
 
     def extend(s: int, v: int) -> None:
-        if len(trail) >= 3 and g.has_edge(v, s) and trail[1] < trail[-1]:
+        if len(trail) >= 3 and trail[1] < trail[-1] and v in nbrs[s]:
             cycles.append(tuple(trail))
         if len(trail) == max_len:
             return
@@ -92,34 +95,59 @@ def short_cycle_pair_rows(g: BaseGraph, max_len: int = 8) -> list[int]:
     return rows
 
 
+def _meet(adj, u: int, v: int, reach: int):
+    """Bidirectional BFS from u and v in g - uv to radii summing to at most
+    reach, expanding the smaller frontier: each side's levels and the set
+    where they met (in the last level of both sides), or None."""
+    if reach < 2:
+        return None
+    side_a, side_b = [{u}, adj[u] - {v}], [{v}, adj[v] - {u}]
+    seen_a, seen_b = side_a[1] | {u}, side_b[1] | {v}
+    met = side_a[1] & side_b[1]
+    radii = 2
+    while not met and radii < reach and side_a[-1] and side_b[-1]:
+        if len(side_a[-1]) > len(side_b[-1]):  # the sides are symmetric
+            side_a, side_b, seen_a, seen_b = side_b, side_a, seen_b, seen_a
+        front = set().union(*[adj[x] for x in side_a[-1]]) - seen_a
+        met = front & side_b[-1]
+        side_a.append(front)
+        seen_a |= front
+        radii += 1
+    return (side_a, side_b, met) if met else None
+
+
 def short_cycle_edges(g: BaseGraph, max_len: int = 8) -> list[tuple[int, int]]:
     """The edges uv, in edge order, with dist(u, v) <= max_len - 1 in g - uv:
-    exactly the edges of the cycles of length <= max_len.
+    exactly the edges of the cycles of length <= max_len."""
+    return [(u, v) for u, v in g.edges if _meet(g.adjacency, u, v, max_len - 1)]
 
-    Per edge, a bidirectional BFS grows balls around u and v in g - uv,
-    always expanding the smaller frontier; the balls meet iff the distance is
-    at most the sum of their radii.
-    """
-    if max_len < 3:
-        return []
-    adj = g.adjacency
-    reach = max_len - 1
-    found = []
+
+def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
+    """The vertex sets, sorted by least vertex, of the components of the
+    ``short_cycle_edges`` subgraph that have an edge (module docstring, step 1)."""
+    adj, parent = g.adjacency, list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     for u, v in g.edges:
-        front_a, front_b = adj[u] - {v}, adj[v] - {u}
-        seen_a, seen_b = front_a | {u}, front_b | {v}
-        met = not front_a.isdisjoint(front_b)
-        radii = 2
-        while not met and radii < reach and front_a and front_b:
-            if len(front_a) > len(front_b):  # the sides are symmetric
-                front_a, front_b, seen_a, seen_b = front_b, front_a, seen_b, seen_a
-            front_a = set().union(*[adj[x] for x in front_a]) - seen_a
-            met = not front_a.isdisjoint(seen_b)
-            seen_a = seen_a | front_a
-            radii += 1
-        if met:
-            found.append((u, v))
-    return found
+        root = find(u)
+        if root != find(v) and (meeting := _meet(adj, u, v, max_len - 1)):
+            *sides, met = meeting
+            joined = set(met)
+            for levels in sides:  # step back from the meeting set to u and to v
+                kept = met
+                for level in reversed(levels[:-1]):
+                    kept = level & set().union(*[adj[x] for x in kept])
+                    joined |= kept
+            for x in joined:
+                parent[find(x)] = root
+    classes: dict[int, set[int]] = {}
+    for x in range(g.n):
+        classes.setdefault(find(x), set()).add(x)
+    return [frozenset(c) for c in classes.values() if len(c) > 1]
 
 
 @dataclass
@@ -174,13 +202,10 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
             assignment[v] = gid
         return gid
 
-    # degree >= 3 gadgets straight from the short-cycle classes; short_cycle_edges
-    # keeps g.edges order, and a vertex on no short cycle is a singleton
-    for verts in connected_components(BaseGraph(g.n, tuple(short_cycle_edges(g)))):
-        if len(verts) == 1:
-            continue
+    # degree >= 3 gadgets straight from the short-cycle classes
+    for verts in short_cycle_classes(g):
         d = _gadget_size_to_degree(len(verts))
-        links = sorted(v for v in verts if any(w not in verts for w in g.adjacency[v]))
+        links = sorted(v for v in verts if not g.adjacency[v] <= verts)
         middles = verts - set(links)
         if len(links) != 2 * d:
             raise StructureError(f"gadget candidate has {len(links)} link vertices, not {2 * d}")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -24,13 +25,47 @@ def test_short_cycles_canonical():
     assert dg.short_cycles(bg.cycle(9)) == []
 
 
+def _bitmask_cycles(g, max_len=8):
+    """Every simple cycle of length <= max_len, in short_cycles' canonical form,
+    joined from two paths out of its least vertex s that share only their
+    ends (path masks ANDed): the half through the second vertex has
+    ceil(L/2) edges and the half through the last vertex floor(L/2)."""
+    adj = g.sorted_adjacency
+    cycles = []
+    for s in range(g.n):
+        # by_end[k][w]: (trail, mask) of each path s..w of k edges through vertices > s
+        level, by_end = [((s,), 1 << s)], [{}]
+        for _ in range((max_len + 1) // 2):
+            ends = {}
+            for trail, mask in level:
+                for w in adj[trail[-1]]:
+                    if w > s and not mask >> w & 1:
+                        ends.setdefault(w, []).append((trail + (w,), mask | 1 << w))
+            by_end.append(ends)
+            level = [item for items in ends.values() for item in items]
+        for length in range(3, max_len + 1):
+            shorter = by_end[length // 2]
+            for w, ps in by_end[(length + 1) // 2].items():
+                ends = 1 << s | 1 << w
+                for p, pm in ps:
+                    for q, qm in shorter.get(w, ()):
+                        if pm & qm == ends and p[1] < q[1]:
+                            cycles.append(p + q[-2:0:-1])
+    return cycles
+
+
 def _cycle_edges(g, max_len=8):
     """Edges of the enumerated short cycles: the oracle for short_cycle_edges."""
-    edges = set()
-    for cyc in dg.short_cycles(g, max_len):
-        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-            edges.add((min(x, y), max(x, y)))
-    return sorted(edges)
+    steps = set()
+    for cyc in _bitmask_cycles(g, max_len):
+        steps.update(zip(cyc, cyc[1:] + cyc[:1]))
+    return sorted({(min(x, y), max(x, y)) for x, y in steps})
+
+
+def _classes(n, edges):
+    """The components with an edge of the graph on 0..n-1 with these edges:
+    the oracle for short_cycle_classes, given the enumerated cycle edges."""
+    return [c for c in bg.connected_components(bg.BaseGraph(n, tuple(edges))) if len(c) > 1]
 
 
 def _scrambled(c, rng):
@@ -53,8 +88,27 @@ def sparse_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_graphs(), st.integers(1, 9))
+def test_bitmask_cycles_match_short_cycles(g, max_len):
+    assert sorted(_bitmask_cycles(g, max_len)) == sorted(dg.short_cycles(g, max_len))
+
+
+@pytest.mark.parametrize("base", [
+    bg.complete(4), bg.complete(5), bg.complete_bipartite(3, 3), bg.petersen()],
+    ids=["K4", "K5", "K33", "petersen"])
+def test_bitmask_cycles_match_short_cycles_on_cfi(base):
+    rng = random.Random(base.n)
+    for build in (cfi.build_cfi, cfi.build_tilde):
+        g = _scrambled(build(base), rng)
+        for max_len in (6, 8, 9):
+            assert sorted(_bitmask_cycles(g, max_len)) == sorted(dg.short_cycles(g, max_len))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs(), st.integers(1, 9))
 def test_short_cycle_edges_match_enumeration(g, max_len):
-    assert dg.short_cycle_edges(g, max_len) == _cycle_edges(g, max_len)
+    edges = _cycle_edges(g, max_len)
+    assert dg.short_cycle_edges(g, max_len) == edges
+    assert dg.short_cycle_classes(g, max_len) == _classes(g.n, edges)
 
 
 def test_short_cycle_edges_length_bound():
@@ -73,7 +127,46 @@ def test_short_cycle_edges_match_enumeration_on_cfi(base):
     rng = random.Random(base.n)
     for build in (cfi.build_cfi, cfi.build_tilde):
         g = _scrambled(build(base), rng)
-        assert dg.short_cycle_edges(g) == _cycle_edges(g)
+        edges = _cycle_edges(g)
+        assert dg.short_cycle_edges(g) == edges
+        assert dg.short_cycle_classes(g) == _classes(g.n, edges)
+
+
+# u = 0 and v = 1 joined by the edge uv and by paths of lengths 3 and 5, with a
+# pendant 9-cycle at vertex 7 whose edges lie on no cycle of length <= 8
+THETA = bg.BaseGraph.from_edges(16, [(0, 1), (0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 6), (6, 7),
+                                     (7, 1)] + list(zip(range(7, 15), range(8, 16))) + [(7, 15)])
+
+
+def _counted_bfs(monkeypatch):
+    """The edges that get a BFS, recorded as it runs."""
+    calls, meet = [], dg._meet
+
+    def counted(adj, u, v, reach):
+        calls.append((u, v))
+        return meet(adj, u, v, reach)
+    monkeypatch.setattr(dg, "_meet", counted)
+    return calls
+
+
+def test_short_cycle_classes_join_whole_shortest_paths(monkeypatch):
+    for max_len in range(1, 10):
+        assert dg.short_cycle_classes(THETA, max_len) == _classes(THETA.n, _cycle_edges(THETA, max_len))
+    calls = _counted_bfs(monkeypatch)
+    assert dg.short_cycle_classes(THETA) == [frozenset(range(8))]
+    # edge 01 meets at 3 and joins 2 and 3 too, edge 04 joins the 5-path; the
+    # other theta edges are skipped, and every edge of the 9-cycle is searched
+    assert calls[:2] == [(0, 1), (0, 4)] and len(calls) == 2 + 9
+
+
+def test_short_cycle_classes_search_two_edges_per_cubic_gadget(monkeypatch):
+    # the first BFS in a degree-3 gadget joins 9 of its 10 vertices and the
+    # second the last one; the 2|E| cross edges lie on no short cycle
+    base = bg.petersen()
+    g = _scrambled(cfi.build_tilde(base), random.Random(7))
+    calls = _counted_bfs(monkeypatch)
+    assert len(dg.short_cycle_classes(g)) == base.n
+    assert len(calls) == 2 * len(base.edges) + 2 * base.n
 
 
 def test_short_cycle_membership_matches_gadget_degree():
@@ -289,6 +382,20 @@ def test_distinguish_at_scale(base):
         assert v.twisted == twisted
         assert (v.base.n, len(v.base.edges)) == (base.n, len(base.edges))
         assert Counter(v.base.degree(u) for u in range(v.base.n)) == degrees
+
+
+def test_distinguish_memory_is_linear():
+    # the traced peak per vertex may not grow with n (4.3 times more vertices)
+    per_vertex = []
+    for a in (10, 20):
+        g = _scrambled(cfi.build_tilde(bg.grid(a, a)), random.Random(a))
+        tracemalloc.start()
+        try:
+            assert dg.distinguish(g).twisted
+            per_vertex.append(tracemalloc.get_traced_memory()[1] / g.n)
+        finally:
+            tracemalloc.stop()
+    assert per_vertex[1] < 1.3 * per_vertex[0] and max(per_vertex) < 2048
 
 
 def test_distinguish_builds_no_bitmask_rows():
