@@ -4,20 +4,26 @@ Given a graph promised to be (isomorphic to) the CFI graph of some connected
 base or its once-twisted companion, decide which, and recover the base.
 
 The route for inputs of maximum degree >= 3:
-  1. Vertices lying on a cycle of length <= 8 are exactly the vertices of
-     gadgets over base vertices of degree >= 3, and two such vertices share a
-     short cycle iff they share a gadget.  These classes come from edges,
-     not from enumerated cycles, whose number grows exponentially with the
-     gadget degree: an edge uv lies on a cycle of length <= 8 iff
-     dist(u, v) <= 7 once uv is removed (a shortest such path is simple and
-     closes with uv into a cycle), which a bidirectional BFS decides.  The
-     classes, the components of the short-cycle subgraph, grow in one
-     union-find pass over the edges.  An edge whose ends are already joined
-     cannot change them and gets no BFS.  When uv's BFS meets at radius sum
-     d, every meeting vertex lies on a shortest u-v path of g - uv, and so
-     does each neighbour one level nearer u or v of a vertex on such a path;
-     each such path closes with uv into a cycle of length d + 1 <= 8, so all
-     these vertices join u's class at once.
+  1. Two vertices share a cycle of length <= 8 iff they share a gadget over
+     a base vertex of degree >= 3.  An edge uv lies on such a cycle iff
+     dist(u, v) <= 7 in g - uv (a shortest such path is simple and closes
+     with uv into a cycle), which a bidirectional BFS decides without
+     enumerating cycles, whose number grows exponentially with the gadget
+     degree.  The classes grow by union-find over the edges.  When uv's BFS
+     meets at radius sum d, every vertex on a shortest u-v path of g - uv
+     (found by stepping back level by level from the meeting set) closes
+     with uv into a cycle of length d + 1 <= 8 and joins u's class.  No BFS
+     runs for an edge inside one class or leaving a closed one, whose size
+     is 2d + 2^(d-1) and largest degree 2^(d-2) + 1 for one d in
+     3..MAX_GADGET_DEGREE; an edge between two classes of several vertices
+     waits for a second pass, by which one may have closed.  In a CFI graph a closed class is a whole
+     gadget, so the skipped edges are cross edges: a class lies inside one
+     gadget, of degree d' say, and holds a link (every gadget edge joins a
+     link to a middle), whose degree 2^(d'-2) + 1 is the gadget's largest
+     and differs for every d'; so d' = d and the size forces the whole
+     gadget (size alone would not: 16 vertices can hold 10).  On other
+     graphs each class lies inside one component of the short-cycle
+     subgraph, and step 4's certificate settles the rest.
   2. Inside each recovered gadget, link vertices are the ones with an edge
      leaving the gadget, and twin pairs are found by complementary adjacency
      to the middle set.
@@ -122,28 +128,44 @@ def short_cycle_edges(g: BaseGraph, max_len: int = 8) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges if _meet(g.adjacency, u, v, max_len - 1)]
 
 
+_GADGET_DEGREE_BY_SIZE = {2 * d + (1 << (d - 1)): d for d in range(3, MAX_GADGET_DEGREE + 1)}
+
+
 def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
-    """The vertex sets, sorted by least vertex, of the components of the
-    ``short_cycle_edges`` subgraph that have an edge (module docstring, step 1)."""
+    """Disjoint classes of vertices joined along cycles of length <= max_len,
+    sorted by least vertex, each inside one component of the ``short_cycle_edges``
+    subgraph; on a CFI graph with max_len 8, its gadgets of degree >= 3 (step 1)."""
     adj, parent = g.adjacency, list(range(g.n))
+    size, top, closed = [1] * g.n, [len(a) for a in adj], [False] * g.n  # per root
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    for u, v in g.edges:
-        root = find(u)
-        if root != find(v) and (meeting := _meet(adj, u, v, max_len - 1)):
-            *sides, met = meeting
-            joined = set(met)
-            for levels in sides:  # step back from the meeting set to u and to v
-                kept = met
-                for level in reversed(levels[:-1]):
-                    kept = level & set().union(*[adj[x] for x in kept])
-                    joined |= kept
-            for x in joined:
-                parent[find(x)] = root
+    edges, deferred = g.edges, []
+    for first in (True, False):
+        for u, v in edges:
+            root, other = find(u), find(v)
+            if root == other or closed[root] or closed[other]:
+                continue
+            if first and size[root] > 1 and size[other] > 1:  # either class may close first
+                deferred.append((u, v))
+            elif meeting := _meet(adj, u, v, max_len - 1):
+                *sides, met = meeting
+                joined = set(met)
+                for levels in sides:  # step back from the meeting set to u and to v
+                    kept = met
+                    for level in reversed(levels[:-1]):
+                        kept = level & set().union(*[adj[x] for x in kept])
+                        joined |= kept
+                for x in joined:
+                    if (rx := find(x)) != root:
+                        parent[rx] = root
+                        size[root], top[root] = size[root] + size[rx], max(top[root], top[rx])
+                d = _GADGET_DEGREE_BY_SIZE.get(size[root])
+                closed[root] = d is not None and top[root] == (1 << (d - 2)) + 1
+        edges = deferred
     classes: dict[int, set[int]] = {}
     for x in range(g.n):
         classes.setdefault(find(x), set()).add(x)
@@ -162,15 +184,6 @@ class GadgetDecomposition:
     gadgets: list[RecoveredGadget]
     base: BaseGraph                     # recovered base on gadget ids
     pair_to_gadget: dict[tuple[int, int], int]  # twin pair -> opposite gadget id
-
-
-def _gadget_size_to_degree(size: int) -> int:
-    d = 3
-    while 2 * d + (1 << (d - 1)) < size:
-        d += 1
-    if d > MAX_GADGET_DEGREE or 2 * d + (1 << (d - 1)) != size:
-        raise StructureError(f"no gadget of base degree 3..{MAX_GADGET_DEGREE} has {size} vertices")
-    return d
 
 
 def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset[int]) -> list[tuple[int, int]]:
@@ -204,7 +217,8 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
 
     # degree >= 3 gadgets straight from the short-cycle classes
     for verts in short_cycle_classes(g):
-        d = _gadget_size_to_degree(len(verts))
+        if (d := _GADGET_DEGREE_BY_SIZE.get(len(verts))) is None:
+            raise StructureError(f"no gadget of base degree 3..{MAX_GADGET_DEGREE} has {len(verts)} vertices")
         links = sorted(v for v in verts if not g.adjacency[v] <= verts)
         middles = verts - set(links)
         if len(links) != 2 * d:

@@ -1,4 +1,9 @@
 import json
+import random
+import time
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfigraphs import base_graph as bg
 from cfigraphs import cfi, cli, treewidth
@@ -231,3 +236,72 @@ def test_verify_suite_single_check(capsys):
     checks = {d["check"]: d for d in lines[:-1]}
     assert checks["path-cycle-structure"]["passed"] is True
     assert checks["uncolored-count-resolution"]["details"]["count"] == 24
+
+
+CALL_BUDGET_S = 1.0
+SMALL_BASES = [bg.path(3), bg.cycle(5), bg.complete(4), bg.complete_bipartite(1, 3), bg.grid(2, 3)]
+
+
+@st.composite
+def small_graphs(draw):
+    """(graph, vertex names or None): a random graph on at most 40 vertices,
+    or Y or Ytilde over a small base with up to two vertex pairs toggled,
+    relabelled, its names carried along."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        return bg.BaseGraph.from_edges(n, {tuple(sorted(e)) for e in draw(st.lists(pair, max_size=2 * n))}), None
+    c = (cfi.build_tilde if draw(st.booleans()) else cfi.build_cfi)(draw(st.sampled_from(SMALL_BASES)))
+    edges = set(c.edges)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, c.n - 1), st.integers(0, c.n - 1)), max_size=2)):
+        if u != v:
+            edges ^= {(min(u, v), max(u, v))}
+    perm = list(range(c.n))
+    random.Random(draw(st.integers(0, 10**6))).shuffle(perm)
+    names = [None] * c.n
+    for x, name in enumerate(c.names()):
+        names[perm[x]] = name
+    return bg.BaseGraph.from_edges(c.n, edges).relabel(perm), names
+
+
+def _run_bounded(capsys, *argv):
+    """Run one command and check the exit-code contract of every command."""
+    t0 = time.monotonic()
+    code = cli.main([str(a) for a in argv])
+    elapsed = time.monotonic() - t0
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 2:
+        assert out == "" and "error:" in err and "Traceback" not in err, (argv, out, err)
+    else:
+        json.loads(out)
+    assert elapsed < CALL_BUDGET_S, (argv, elapsed)
+
+
+@st.composite
+def gen_args(draw):
+    """A family, as many small parameters as it takes or any number up to 3, and a variant."""
+    family = draw(st.sampled_from(sorted(bg.FAMILY_BUILDERS)))
+    arity = bg.FAMILY_BUILDERS[family][0]
+    param = st.integers(-1, 6)
+    params = draw(st.lists(param, min_size=arity, max_size=arity) | st.lists(param, max_size=3))
+    return [family, *params, "--variant", draw(st.sampled_from(["base", "Y", "Ytilde", "X", "Xtilde", "Xpath"]))]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_graphs(), small_graphs(), gen_args(), st.sampled_from(["Lk", "Ck"]), st.integers(1, 3),
+       st.sampled_from(SMALL_BASES + [bg.complete(5)]))
+def test_commands_exit_cleanly_on_small_inputs(tmp_path, capsys, first, second, gen, logic, k, base):
+    _run_bounded(capsys, "gen", *gen)
+    files = []
+    for i, (g, names) in enumerate((first, second)):
+        files.append(tmp_path / f"g{i}.json")
+        files[-1].write_bytes(bg.write_graph(g, "json", names=names))
+    base_file = tmp_path / "base.json"
+    base_file.write_bytes(bg.write_graph(base, "json"))
+    _run_bounded(capsys, "distinguish", files[0])
+    # L^3 refinement on 40 vertices takes seconds; k = 3 is left to C^k
+    _run_bounded(capsys, "equiv", "--logic", logic, "--k", min(k, 2) if logic == "Lk" else k, *files)
+    _run_bounded(capsys, "tw", files[1])
+    _run_bounded(capsys, "hom", "--base", base_file)
+    _run_bounded(capsys, "focheck", files[0], "--base-file", base_file)

@@ -156,12 +156,66 @@ def test_short_cycle_classes_join_whole_shortest_paths(monkeypatch):
 
 def test_short_cycle_classes_search_two_edges_per_cubic_gadget(monkeypatch):
     # the first BFS in a degree-3 gadget joins 9 of its 10 vertices and the
-    # second the last one; the 2|E| cross edges lie on no short cycle
+    # second the last one, which closes the class; the 2|E| cross edges lie
+    # on no short cycle, and only 4 are reached before either end's gadget closed
     base = bg.petersen()
     g = _scrambled(cfi.build_tilde(base), random.Random(7))
     calls = _counted_bfs(monkeypatch)
     assert len(dg.short_cycle_classes(g)) == base.n
-    assert len(calls) == 2 * len(base.edges) + 2 * base.n
+    assert len(calls) == 2 * base.n + 4
+
+
+# degrees 3, 4 and 5: the wheel on hub 0 and rim 1..5, with the chord 1-3
+MIXED_DEGREES = bg.BaseGraph.from_edges(6, [(0, i) for i in range(1, 6)] + list(
+    zip(range(1, 6), [2, 3, 4, 5, 1])) + [(1, 3)])
+
+
+@pytest.mark.parametrize("base", [bg.complete(5), bg.complete(6), bg.complete(8), bg.grid(8, 8), MIXED_DEGREES],
+                         ids=["K5", "K6", "K8", "grid8", "mixed"])
+def test_short_cycle_classes_are_the_constructed_gadgets(base):
+    # a class closes only once it is a whole gadget, so the skipped edges
+    # split none of them, whatever order the relabelling gives the edges
+    rng = random.Random(base.n)
+    for build in (cfi.build_cfi, cfi.build_tilde):
+        c = build(base)
+        for _ in range(3):
+            flipped = c.graph.relabel(cfi.gadget_flip_map(c, cfi.random_even_flips(c, rng)))
+            perm = list(range(c.n))
+            rng.shuffle(perm)
+            gadgets = [frozenset(perm[x] for x in range(c.offsets[u], c.offsets[u + 1]))
+                       for u in range(base.n) if base.degree(u) >= 3]
+            assert dg.short_cycle_classes(flipped.relabel(perm)) == sorted(gadgets, key=min)
+
+
+@st.composite
+def sparse_graphs_to_40(draw):
+    """Graphs on at most 40 vertices with at most n + 10 edges, or a relabelled
+    CFI graph of at most 40 vertices with up to three vertex pairs toggled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        return bg.BaseGraph.from_edges(n, {tuple(sorted(e)) for e in draw(st.lists(pair, max_size=n + 10))})
+    c = (cfi.build_tilde if draw(st.booleans()) else cfi.build_cfi)(draw(st.sampled_from(MUTATION_BASES)))
+    edges = set(c.edges)
+    for u, v in draw(st.lists(st.tuples(st.integers(0, c.n - 1), st.integers(0, c.n - 1)), max_size=3)):
+        if u != v:
+            edges ^= {(min(u, v), max(u, v))}
+    perm = list(range(c.n))
+    random.Random(draw(st.integers(0, 10**6))).shuffle(perm)
+    return bg.BaseGraph.from_edges(c.n, edges).relabel(perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs_to_40())
+def test_short_cycle_classes_lie_inside_short_cycle_components(g):
+    # the documented contract off CFI graphs: disjoint classes, sorted by least
+    # vertex, each inside one component of the enumerated short-cycle edges
+    classes = dg.short_cycle_classes(g)
+    assert sum(map(len, classes)) == len(set().union(*classes))
+    assert all(len(c) > 1 for c in classes) and [min(c) for c in classes] == sorted(min(c) for c in classes)
+    component = {x: i for i, comp in enumerate(_classes(g.n, _cycle_edges(g))) for x in comp}
+    for c in classes:
+        assert len({component.get(x) for x in c}) == 1 and min(c) in component
 
 
 def test_short_cycle_membership_matches_gadget_degree():
