@@ -72,6 +72,8 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if args.logic == "Ck" and args.k < 2:
+        raise ValueError("--k must be at least 2 for Ck")
     g1, meta1 = _load(args.file1, args.format)
     g2, meta2 = _load(args.file2, args.format)
     c1, c2 = meta1.get("colors"), meta2.get("colors")

@@ -4,26 +4,28 @@ Given a graph promised to be (isomorphic to) the CFI graph of some connected
 base or its once-twisted companion, decide which, and recover the base.
 
 The route for inputs of maximum degree >= 3:
-  1. Two vertices share a cycle of length <= 8 iff they share a gadget over
-     a base vertex of degree >= 3.  An edge uv lies on such a cycle iff
-     dist(u, v) <= 7 in g - uv (a shortest such path is simple and closes
-     with uv into a cycle), which a bidirectional BFS decides without
-     enumerating cycles, whose number grows exponentially with the gadget
-     degree.  The classes grow by union-find over the edges.  When uv's BFS
-     meets at radius sum d, every vertex on a shortest u-v path of g - uv
-     (found by stepping back level by level from the meeting set) closes
-     with uv into a cycle of length d + 1 <= 8 and joins u's class.  No BFS
-     runs for an edge inside one class or leaving a closed one, whose size
-     is 2d + 2^(d-1) and largest degree 2^(d-2) + 1 for one d in
-     3..MAX_GADGET_DEGREE; an edge between two classes of several vertices
-     waits for a second pass, by which one may have closed.  In a CFI graph a closed class is a whole
+  1. Two vertices share a cycle of length <= 8 iff they share a gadget over a
+     base vertex of degree >= 3.  An edge uv lies on such a cycle iff
+     dist(u, v) <= 7 in g - uv (a shortest such path is simple and closes with
+     uv into a cycle), which a bidirectional BFS decides without enumerating
+     cycles, whose number grows exponentially with the gadget degree.  The
+     classes grow by union-find over the edges.  When uv's BFS meets at radius
+     sum d, every vertex on a shortest u-v path of g - uv (found by stepping
+     back level by level from the meeting set) closes with uv into a cycle of
+     length d + 1 <= 8 and joins u's class.  No BFS runs for an edge inside one
+     class or leaving a closed one, whose size is 2d + 2^(d-1) and largest
+     degree 2^(d-2) + 1 for one d in 3..MAX_GADGET_DEGREE; an edge between two
+     classes of several vertices waits for a second pass, by which one may
+     have closed.  A miss at an end of degree <= 2 closes it and its chain of
+     degree-2 vertices as singletons: every cycle through the chain uses the
+     missed edge.  In a CFI graph a closed class of several vertices is a whole
      gadget, so the skipped edges are cross edges: a class lies inside one
      gadget, of degree d' say, and holds a link (every gadget edge joins a
-     link to a middle), whose degree 2^(d'-2) + 1 is the gadget's largest
-     and differs for every d'; so d' = d and the size forces the whole
-     gadget (size alone would not: 16 vertices can hold 10).  On other
-     graphs each class lies inside one component of the short-cycle
-     subgraph, and step 4's certificate settles the rest.
+     link to a middle), whose degree 2^(d'-2) + 1 is the gadget's largest and
+     differs for every d'; so d' = d and the size forces the whole gadget
+     (size alone would not: 16 vertices can hold 10).  On other graphs each
+     class lies inside one component of the short-cycle subgraph, and step 4's
+     certificate settles the rest.
   2. Inside each recovered gadget, link vertices are the ones with an edge
      leaving the gadget, and twin pairs are found by complementary adjacency
      to the middle set.
@@ -165,6 +167,11 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
                         size[root], top[root] = size[root] + size[rx], max(top[root], top[rx])
                 d = _GADGET_DEGREE_BY_SIZE.get(size[root])
                 closed[root] = d is not None and top[root] == (1 << (d - 2)) + 1
+            else:
+                chain = [x for x in (u, v) if len(adj[x]) <= 2]
+                while chain:
+                    closed[x := chain.pop()] = True
+                    chain += [y for y in adj[x] if len(adj[y]) == 2 and not closed[y]]
         edges = deferred
     classes: dict[int, set[int]] = {}
     for x in range(g.n):

@@ -13,10 +13,13 @@ Three engines, deliberately distinct so they can cross-check each other:
   per degree group through the same exact row ranking; a row wider than 64
   columns is first ranked in 64-column slices.
 
-  Both run one kernel over the k-tuples of both graphs.  A tuple's row holds
-  what substituting each vertex at a coordinate reaches: per coordinate, the
-  *set* of classes (L^k), or the *multiset* of k-tuples of classes (WL).  The
-  multiset fold computes each column's k-tuples whole and writes it once.
+  Both run one kernel over the k-tuples of both graphs.  A tuple's row is
+  its class and, per coordinate, the *set* of classes that substituting each
+  vertex there reaches (L^k), or the *multiset* of substituted k-tuples of
+  classes, three ids (< 2^18) to an int64 word (WL).  No round holds all rows:
+  slabs are built from views of the class cube and hashed to dense ids, in
+  first-seen order, from one sorted table; a row unequal to its id's first
+  row (a collision) redoes the round under the next salt.
   Colours are ranked jointly to dense ints first, so any int is a colour.
 * ``ck_equivalent_game``: the bijective k-pebble game (k = 2, 3) solved
   outright at tiny scale: a position of k-1 pebbles lives while its live
@@ -41,10 +44,11 @@ from .base_graph import BaseGraph
 from .errors import SizeGuardError
 
 LK_TUPLE_GUARD = 250_000
-# int64 cells of the refinement's row matrix (128 MB): the tuple guard alone
-# admits L^2 on two 353-vertex graphs, whose rows would take about 1.4 GB
+# int64 cells of a round's rows (128 MB), which bound its work and stored rows:
+# the tuple guard alone admits L^2 on two 353-vertex graphs, rows of 1.4 GB
 ROW_CELL_GUARD = 16_000_000
 CK_STATE_GUARD = 600_000
+SLAB_CELLS = 1 << 18  # int64 cells of the rows one slab builds and ranks at once
 
 
 def _norm_colors(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[int]:
@@ -91,13 +95,74 @@ def _pair_types(g: BaseGraph) -> np.ndarray:
 def _atomic_rows(g: BaseGraph, col: np.ndarray, k: int) -> np.ndarray:
     """Atomic-type signature of every k-tuple: coordinate colors (``col``,
     ranked by ``_joint_colors``) plus the pair type of every coordinate pair."""
-    n = g.n
     rel = _pair_types(g)
-    idx = np.arange(n ** k)
-    digits = [(idx // n ** i) % n for i in range(k)]
-    cols = [col[d] for d in digits]
-    cols += [rel[digits[i], digits[j]] for i in range(k) for j in range(i + 1, k)]
-    return np.stack(cols, axis=1)
+    digits = [np.arange(g.n ** k) // g.n ** i % g.n for i in range(k)]
+    return np.stack([col[d] for d in digits] + [
+        rel[digits[i], digits[j]] for i in range(k) for j in range(i + 1, k)], axis=1)
+
+
+def _slabs(n: int, C: np.ndarray, k: int, count: int, width: int, sets: bool) -> Iterator[np.ndarray]:
+    """One graph's rows for the next round, a slab of consecutive tuples at a
+    time: the class, then blocks of ``width`` columns (padding -1 first) per
+    coordinate (L^k: classes, duplicates blanked) or word (WL: 3 ids folded)."""
+    cube = C.reshape((n,) * k)  # axis k-1-i holds coordinate i; a slab is a range of axis 0
+    groups = [[i] for i in range(k)] if sets else [range(j, min(j + 3, k)) for j in range(0, k, 3)]
+    subs = [np.broadcast_to(np.expand_dims(np.moveaxis(
+        cube if sets else cube * count ** (len(group) - 1 - p), k - 1 - i, -1), k - 1 - i),
+        (n,) * (k + 1)) for group in groups for p, i in enumerate(group)]
+    unit = n ** (k - 1)  # tuples per index of axis 0
+    step = max(1, SLAB_CELLS // max(1, unit * (1 + len(groups) * width)))
+    buf = np.full((min(step, n) * unit, 1 + len(groups) * width), -1, dtype=np.int64)
+    for lo in range(0, n, step):
+        rows = buf[:(min(n, lo + step) - lo) * unit]
+        rows[:, 0] = C[lo * unit:lo * unit + len(rows)]
+        blocks = [rows[:, 1 + (j + 1) * width - n:1 + (j + 1) * width] for j in range(len(groups))]
+        for block, group in zip(blocks, groups):
+            fold = block.reshape((-1,) + (n,) * k)  # a view: only axis 0 splits
+            np.copyto(fold, subs[group[0]][lo:lo + step])
+            for i in group[1:]:
+                fold += subs[i][lo:lo + step]
+        if len(blocks) > 1 and not sets:  # the words of one element move together
+            order = np.lexsort(blocks[::-1], axis=1)
+            for block in blocks:
+                block[...] = np.take_along_axis(block, order, axis=1)
+        for block in blocks if sets or len(blocks) == 1 else ():
+            block.sort(axis=1)
+            if sets:
+                block[:, 1:][block[:, 1:] == block[:, :-1]] = -1
+                block.sort(axis=1)
+        yield rows
+
+
+def _row_hash(rows: np.ndarray, salt: int) -> np.ndarray:
+    """Each row's uint64 hash: its cells weighted by keys that salt picks."""
+    keys = np.array([hash((salt, j)) for j in range(rows.shape[1])], dtype=np.int64)
+    return np.einsum("ij,j->i", rows.view(np.uint64), keys.view(np.uint64))
+
+
+def _rank_slabs(slabs: Iterator[np.ndarray], size: int, salt: int, reps: np.ndarray) -> Optional[tuple]:
+    """``_rank_rows`` for ``size`` streamed rows, ids in first-seen order; None
+    if a row differs from the first row with its hash, kept per id in ``reps``."""
+    ids, count = [], 0
+    table, table_ids = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    for rows in slabs:
+        uniq, inverse = np.unique(_row_hash(rows, salt), return_inverse=True)
+        np.minimum.at(first := np.full(len(uniq), len(rows)), inverse, np.arange(len(rows)))
+        at = np.searchsorted(table, uniq)
+        seen = at < len(table)
+        seen[seen] = table[at[seen]] == uniq[seen]
+        new = np.flatnonzero(~seen)[np.argsort(first[~seen])]
+        uid = np.empty(len(uniq), dtype=np.int64)
+        uid[seen], uid[new] = table_ids[at[seen]], np.arange(count, count + len(new))
+        if len(reps) < count + len(new):
+            reps.resize((min(size, 2 * (count + len(new))), rows.shape[1]), refcheck=False)
+        reps[count:count + len(new)] = rows[first[new]]
+        count += len(new)
+        table, table_ids = (np.insert(a, at[~seen], v[~seen]) for a, v in ((table, uniq), (table_ids, uid)))
+        ids.append(uid[inverse])
+        if not np.array_equal(np.take(reps, ids[-1], axis=0), rows):
+            return None
+    return np.concatenate(ids), count
 
 
 def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
@@ -105,79 +170,25 @@ def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
                 sets: bool) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Refine the k-tuples of both graphs jointly; yield the shared classes
     ``(C1, C2, count)`` of the atomic types and then after every round.
-
-    Set rows are sorted with duplicates blanked to -1; a multiset row folds
-    each substituted k-tuple into one int64 as e*count + class and sorts.
-    Rows of the smaller graph are padded with -1, which sorts first."""
+    Rows of the smaller graph are padded to the larger graph's width."""
     if g1.n ** k + g2.n ** k > LK_TUPLE_GUARD:
         raise SizeGuardError("tuple space too large for k-tuple refinement")
     width = max(g1.n, g2.n)
-    blocks = k if sets else 1
-    if (g1.n ** k + g2.n ** k) * (1 + blocks * width) > ROW_CELL_GUARD:
+    if (g1.n ** k + g2.n ** k) * (1 + (k if sets else 1) * width) > ROW_CELL_GUARD:
         raise SizeGuardError("row matrix too large for k-tuple refinement")
-    split = g1.n ** k
     col = _joint_colors(g1, g2, colors1, colors2)
     ids, count = _rank_rows(np.vstack([_atomic_rows(g1, col[:g1.n], k),
                                        _atomic_rows(g2, col[g1.n:], k)]))
-    C1, C2 = ids[:split], ids[split:]
-    yield C1, C2, count
-
-    rows = np.empty((split + g2.n ** k, 1 + blocks * width), dtype=np.int64, order="F")
-    parts = []  # per graph: vertex count, its block views of rows, substitutions
-    for g, top in ((g1, 0), (g2, split)):
-        n = g.n
-        mine = rows[top:top + n ** k]
-        mine[:, 1:] = -1  # the padding, written once
-        idx = np.arange(n ** k)
-        # coordinate i of tuple t holds vertex w at t - digit_i(t)*n**i + w*n**i
-        subs = [(idx - (idx // n ** i % n) * n ** i, n ** i) for i in range(k)]
-        views = [mine[:, 1 + (b + 1) * width - n:1 + (b + 1) * width] for b in range(blocks)]
-        parts.append((n, views, subs))
+    reps = np.empty((0, 0), dtype=np.int64)  # grown in place, so later rounds reuse it
     while True:
-        rows[:split, 0], rows[split:, 0] = C1, C2
-        if sets:
-            for (n, views, subs), C in zip(parts, (C1, C2)):
-                for block, (base, stride) in zip(views, subs):
-                    for w in range(n):
-                        np.take(C, base + w * stride, out=block[:, w])
-                    block.sort(axis=1)
-                    block[:, 1:][block[:, 1:] == block[:, :-1]] = -1
-                    block.sort(axis=1)
-        else:
-            folded = [views[0] for _, views, _ in parts]
-
-            def fold(lo: int, hi: int) -> None:
-                """Fold coordinates lo..hi-1 into every column, one write each.
-
-                Over the classes as an n x ... x n array, axis k-1-i holds
-                coordinate i, so substituting w there is a slice of it."""
-                for (n, _, _), block, C in zip(parts, folded, (C1, C2)):
-                    shape = (n,) * k
-                    cube = C.reshape(shape)
-                    for w in range(n):
-                        column = block[:, w].reshape(shape)
-                        e = column if lo else 0
-                        for i in range(lo, hi):
-                            e = e * count + cube[(slice(None),) * (k - 1 - i) + (slice(w, w + 1),)]
-                        column[...] = e
-
-            bound, lo = 1, 0  # every folded value is below bound
-            for i in range(k):
-                if bound * count > 2 ** 62:  # re-rank both graphs' values together
-                    fold(lo, i)
-                    distinct, inverse = np.unique(
-                        np.concatenate([block.ravel() for block in folded]), return_inverse=True)
-                    cut = folded[0].size
-                    folded[0][...] = inverse[:cut].reshape(folded[0].shape)
-                    folded[1][...] = inverse[cut:].reshape(folded[1].shape)
-                    bound, lo = len(distinct), i
-                bound *= count
-            fold(lo, k)
-            for block in folded:
-                block.sort(axis=1)
-        ids, count = _rank_rows(rows)
-        C1, C2 = ids[:split], ids[split:]
+        C1, C2 = ids[:g1.n ** k], ids[g1.n ** k:]
         yield C1, C2, count
+        salt = 0
+        while (ranked := _rank_slabs(chain(_slabs(g1.n, C1, k, count, width, sets),
+                                           _slabs(g2.n, C2, k, count, width, sets)),
+                                     len(ids), salt, reps)) is None:
+            salt += 1  # a hash collision: redo the round
+        ids, count = ranked
 
 
 @dataclass(frozen=True)

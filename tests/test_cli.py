@@ -64,6 +64,16 @@ def test_equiv(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+def test_equiv_ck_names_the_k_it_was_given(tmp_path, capsys):
+    y = tmp_path / "y.json"
+    run(capsys, "gen", "C", "5", "--variant", "Y", "--out", str(y))
+    for k in ("1", "0", "-3"):
+        code, out, err = run(capsys, "equiv", "--logic", "Ck", "--k", k, str(y), str(y))
+        assert (code, out) == (2, "") and "--k must be at least 2" in err, k
+    code, out, _ = run(capsys, "equiv", "--logic", "Lk", "--k", "1", str(y), str(y))
+    assert code == 0 and json.loads(out)["equivalent"] is True
+
+
 def test_equiv_colored_files(tmp_path, capsys):
     x = tmp_path / "x.json"
     xt = tmp_path / "xt.json"

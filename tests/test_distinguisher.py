@@ -150,8 +150,22 @@ def test_short_cycle_classes_join_whole_shortest_paths(monkeypatch):
     calls = _counted_bfs(monkeypatch)
     assert dg.short_cycle_classes(THETA) == [frozenset(range(8))]
     # edge 01 meets at 3 and joins 2 and 3 too, edge 04 joins the 5-path; the
-    # other theta edges are skipped, and every edge of the 9-cycle is searched
-    assert calls[:2] == [(0, 1), (0, 4)] and len(calls) == 2 + 9
+    # other theta edges are skipped.  Edge 78 of the 9-cycle misses at 8, of
+    # degree 2, which closes the cycle's degree-2 chain 8..15, so no other
+    # edge of the 9-cycle is searched
+    assert calls == [(0, 1), (0, 4), (7, 8)]
+
+
+def test_short_cycle_classes_search_one_edge_per_degree_two_strand(monkeypatch):
+    # CFI(C200 plus the chord 0-100): the two chains of 99 degree-2 gadgets
+    # are four strands of degree-2 vertices, each closed by its first miss;
+    # two meets close each degree-3 gadget, and 2 cross edges are reached
+    # before either end's gadget closed (1,194 runs without the chain rule)
+    base = bg.BaseGraph.from_edges(200, list(bg.cycle(200).edges) + [(0, 100)])
+    g = _scrambled(cfi.build_tilde(base), random.Random(200))
+    calls = _counted_bfs(monkeypatch)
+    assert [len(c) for c in dg.short_cycle_classes(g)] == [10, 10]
+    assert len(calls) == 4 + 2 * 2 + 2
 
 
 def test_short_cycle_classes_search_two_edges_per_cubic_gadget(monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -555,6 +556,61 @@ def test_wl_dim4_folds_past_62_bits():
         c1, c2 = (y.colors, yt.colors) if recolor is None else (recolor(y.colors), recolor(yt.colors))
         rep = eqv.wl_equivalent_report(y.graph, yt.graph, 4, c1, c2)
         assert (rep.equivalent, rep.rounds) == (False, want), (colored, recolor)  # tw(P3) = 1 < 5
+
+
+def test_hash_collisions_redo_the_round(monkeypatch):
+    # salt 0 hashes every row to 0, so every round with two distinct rows
+    # collides and is redone under salt 1: ids, traces and verdicts must not
+    # depend on the hash
+    row_hash, salts = eqv._row_hash, Counter()
+
+    def colliding(rows, salt):
+        salts[salt] += 1
+        return np.zeros(len(rows), dtype=np.uint64) if salt == 0 else row_hash(rows, salt)
+
+    monkeypatch.setattr(eqv, "_row_hash", colliding)
+    test_golden_round_traces()
+    test_wl_dim4_folds_past_62_bits()
+    assert salts[1] > 0 and set(salts) == {0, 1}
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data())
+def test_slab_rows_are_exactly_what_substitution_reaches(data):
+    # a few classes force carries between packed ids; tiny slabs split the
+    # first axis; two rows are equal iff their tuples reach the same: per
+    # coordinate the set of classes (L^k), or the multiset of substituted
+    # k-tuples of classes (WL), next to the tuple's own class
+    sets = data.draw(st.booleans(), "sets")
+    k = data.draw(st.integers(1 if sets else 2, 5), "k")
+    n = data.draw(st.integers(1, 4 if k <= 3 else 3), "n")
+    width = n + data.draw(st.integers(0, 2), "padding")
+    count = data.draw(st.integers(1, 4), "count")
+    C = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=n ** k, max_size=n ** k)))
+    with mock.patch.object(eqv, "SLAB_CELLS", data.draw(st.sampled_from([1, 50, 1 << 18]), "slab")):
+        rows = np.vstack([r.copy() for r in eqv._slabs(n, C, k, count, width, sets)])
+    reached = []
+    for t in range(n ** k):
+        subs = [[int(C[t + (w - t // n ** i % n) * n ** i]) for w in range(n)] for i in range(k)]
+        reached.append((int(C[t]), tuple(frozenset(s) for s in subs) if sets else sorted(zip(*subs))))
+    pairs = {(repr(r), row.tobytes()) for r, row in zip(reached, rows)}
+    assert len(pairs) == len({r for r, _ in pairs}) == len({row for _, row in pairs})
+
+
+@pytest.mark.parametrize("base, dim, bound", [(bg.complete(4), 3, 20), (bg.path(3), 4, 100)],
+                         ids=["K4-dim3", "P3-dim4"])
+def test_wl_tuple_kernel_memory(base, dim, bound):
+    # the rows stream through slabs; only the classes, their representatives
+    # and one slab's work stay, where the whole row matrix took 50 and 228 MB
+    g1, g2, c1, c2 = _relabelled_twist(base, True)
+    tracemalloc.start()
+    try:
+        rep = eqv.wl_equivalent_report(g1, g2, dim, c1, c2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.equivalent
+    assert peak < bound << 20
 
 
 @st.composite
