@@ -592,8 +592,9 @@ def test_slab_rows_are_exactly_what_substitution_reaches(data):
     reached = []
     for t in range(n ** k):
         subs = [[int(C[t + (w - t // n ** i % n) * n ** i]) for w in range(n)] for i in range(k)]
-        reached.append((int(C[t]), tuple(frozenset(s) for s in subs) if sets else sorted(zip(*subs))))
-    pairs = {(repr(r), row.tobytes()) for r, row in zip(reached, rows)}
+        reached.append((int(C[t]), tuple(tuple(sorted(set(s))) for s in subs) if sets
+                        else tuple(sorted(zip(*subs)))))
+    pairs = {(r, row.tobytes()) for r, row in zip(reached, rows)}
     assert len(pairs) == len({r for r, _ in pairs}) == len({row for _, row in pairs})
 
 
