@@ -10,17 +10,21 @@ Three engines, deliberately distinct so they can cross-check each other:
   Dim 1 is colour refinement on vertices: the tuple kernel would build an
   n-by-n row block there, and its atomic type carries no adjacency.  Its
   rows (a vertex's class, then its neighbours' classes, sorted) are ranked
-  per degree group through the same exact row ranking; a row wider than 64
-  columns is first ranked in 64-column slices.
+  per degree group, each row whole however wide.
 
   Both run one kernel over the k-tuples of both graphs.  A tuple's row is
   its class and, per coordinate, the *set* of classes that substituting each
   vertex there reaches (L^k), or the *multiset* of substituted k-tuples of
   classes, three ids (< 2^18) to an int64 word (WL).  No round holds all rows:
-  slabs are built from views of the class cube and hashed to dense ids, in
-  first-seen order, from one sorted table; a row unequal to its id's first
-  row (a collision) redoes the round under the next salt.
+  slabs are built from views of the class cube.
   Colours are ranked jointly to dense ints first, so any int is a colour.
+
+  Every class id, from the atomic types and colour refinement's seed on,
+  comes from one ranking (``_rank``): rows are hashed to uint64 under keys a
+  seeded PRNG draws and get dense ids, in first-seen order, from one sorted
+  table; a row unequal to its id's first row (a collision) redoes the
+  ranking under the next salt, and a collision under every one of ``SALTS``
+  salts raises ``AssertionError``.
 * ``ck_equivalent_game``: the bijective k-pebble game (k = 2, 3) solved
   outright at tiny scale: a position of k-1 pebbles lives while its live
   extensions admit a perfect matching.  The 3-pebble solver works in numpy
@@ -34,9 +38,10 @@ Three engines, deliberately distinct so they can cross-check each other:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +54,7 @@ LK_TUPLE_GUARD = 250_000
 ROW_CELL_GUARD = 16_000_000
 CK_STATE_GUARD = 600_000
 SLAB_CELLS = 1 << 18  # int64 cells of the rows one slab builds and ranks at once
+SALTS = 8  # salts a ranking tries; a collision under each is an engine fault
 
 
 def _norm_colors(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[int]:
@@ -66,21 +72,6 @@ def _joint_colors(g1: BaseGraph, g2: BaseGraph, colors1: Optional[Sequence[int]]
     joint = _norm_colors(g1, colors1) + _norm_colors(g2, colors2)
     rank = {c: i for i, c in enumerate(sorted(set(joint)))}
     return np.array([rank[c] for c in joint], dtype=np.int64)
-
-
-def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ids of the rows, equal rows, equal ids; and how many there are.
-
-    Callers stack both graphs' rows to share the ids; column-major rows keep
-    every lexsort key contiguous."""
-    order = np.lexsort(rows.T)
-    new = np.zeros(len(rows), dtype=bool)  # sorted row differs from its predecessor
-    for col in rows.T:
-        ranked = col[order]
-        new[1:] |= ranked[1:] != ranked[:-1]
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new)
-    return ids, int(new.sum()) + 1
 
 
 def _pair_types(g: BaseGraph) -> np.ndarray:
@@ -135,34 +126,41 @@ def _slabs(n: int, C: np.ndarray, k: int, count: int, width: int, sets: bool) ->
 
 
 def _row_hash(rows: np.ndarray, salt: int) -> np.ndarray:
-    """Each row's uint64 hash: its cells weighted by keys that salt picks."""
-    keys = np.array([hash((salt, j)) for j in range(rows.shape[1])], dtype=np.int64)
-    return np.einsum("ij,j->i", rows.view(np.uint64), keys.view(np.uint64))
+    """Each row's uint64 hash: its cells weighted by keys a PRNG seeded by salt draws."""
+    keys = np.frombuffer(random.Random(salt).randbytes(8 * rows.shape[1]), dtype=np.uint64)
+    return np.einsum("ij,j->i", rows.view(np.uint64), keys)
 
 
-def _rank_slabs(slabs: Iterator[np.ndarray], size: int, salt: int, reps: np.ndarray) -> Optional[tuple]:
-    """``_rank_rows`` for ``size`` streamed rows, ids in first-seen order; None
-    if a row differs from the first row with its hash, kept per id in ``reps``."""
-    ids, count = [], 0
-    table, table_ids = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-    for rows in slabs:
-        uniq, inverse = np.unique(_row_hash(rows, salt), return_inverse=True)
-        np.minimum.at(first := np.full(len(uniq), len(rows)), inverse, np.arange(len(rows)))
-        at = np.searchsorted(table, uniq)
-        seen = at < len(table)
-        seen[seen] = table[at[seen]] == uniq[seen]
-        new = np.flatnonzero(~seen)[np.argsort(first[~seen])]
-        uid = np.empty(len(uniq), dtype=np.int64)
-        uid[seen], uid[new] = table_ids[at[seen]], np.arange(count, count + len(new))
-        if len(reps) < count + len(new):
-            reps.resize((min(size, 2 * (count + len(new))), rows.shape[1]), refcheck=False)
-        reps[count:count + len(new)] = rows[first[new]]
-        count += len(new)
-        table, table_ids = (np.insert(a, at[~seen], v[~seen]) for a, v in ((table, uniq), (table_ids, uid)))
-        ids.append(uid[inverse])
-        if not np.array_equal(np.take(reps, ids[-1], axis=0), rows):
-            return None
-    return np.concatenate(ids), count
+def _rank(slabs: Callable[[], Iterable[np.ndarray]], size: int) -> tuple[np.ndarray, int]:
+    """Dense ids of the ``size`` rows that ``slabs()`` streams, equal rows,
+    equal ids, in first-seen order; and how many there are.  Rows are hashed
+    to uint64 and looked up in one sorted table; a row unequal to the first
+    row of its id (a collision) redoes the ranking under the next salt, at
+    most ``SALTS`` times."""
+    for salt in range(SALTS):
+        ids, count = [], 0
+        table, table_ids = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+        reps = np.empty((0, 0), dtype=np.int64)  # the first row of each id
+        for rows in slabs():
+            uniq, inverse = np.unique(_row_hash(rows, salt), return_inverse=True)
+            np.minimum.at(first := np.full(len(uniq), len(rows)), inverse, np.arange(len(rows)))
+            at = np.searchsorted(table, uniq)
+            seen = at < len(table)
+            seen[seen] = table[at[seen]] == uniq[seen]
+            new = np.flatnonzero(~seen)[np.argsort(first[~seen])]
+            uid = np.empty(len(uniq), dtype=np.int64)
+            uid[seen], uid[new] = table_ids[at[seen]], np.arange(count, count + len(new))
+            if len(reps) < count + len(new):
+                reps.resize((min(size, 2 * (count + len(new))), rows.shape[1]), refcheck=False)
+            reps[count:count + len(new)] = rows[first[new]]
+            count += len(new)
+            table, table_ids = (np.insert(a, at[~seen], v[~seen]) for a, v in ((table, uniq), (table_ids, uid)))
+            ids.append(uid[inverse])
+            if not np.array_equal(np.take(reps, ids[-1], axis=0), rows):
+                break
+        else:
+            return np.concatenate(ids), count
+    raise AssertionError(f"row hashes collided under each of {SALTS} salts")
 
 
 def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
@@ -177,18 +175,13 @@ def _refinement(g1: BaseGraph, g2: BaseGraph, k: int,
     if (g1.n ** k + g2.n ** k) * (1 + (k if sets else 1) * width) > ROW_CELL_GUARD:
         raise SizeGuardError("row matrix too large for k-tuple refinement")
     col = _joint_colors(g1, g2, colors1, colors2)
-    ids, count = _rank_rows(np.vstack([_atomic_rows(g1, col[:g1.n], k),
-                                       _atomic_rows(g2, col[g1.n:], k)]))
-    reps = np.empty((0, 0), dtype=np.int64)  # grown in place, so later rounds reuse it
+    ids, count = _rank(lambda: (_atomic_rows(g1, col[:g1.n], k), _atomic_rows(g2, col[g1.n:], k)),
+                       g1.n ** k + g2.n ** k)
     while True:
         C1, C2 = ids[:g1.n ** k], ids[g1.n ** k:]
         yield C1, C2, count
-        salt = 0
-        while (ranked := _rank_slabs(chain(_slabs(g1.n, C1, k, count, width, sets),
-                                           _slabs(g2.n, C2, k, count, width, sets)),
-                                     len(ids), salt, reps)) is None:
-            salt += 1  # a hash collision: redo the round
-        ids, count = ranked
+        ids, count = _rank(lambda: chain(_slabs(g1.n, C1, k, count, width, sets),
+                                         _slabs(g2.n, C2, k, count, width, sets)), len(ids))
 
 
 @dataclass(frozen=True)
@@ -226,23 +219,6 @@ def lk_equivalent(g1: BaseGraph, g2: BaseGraph, k: int,
 # -- Weisfeiler-Leman ----------------------------------------------------------
 
 
-_WL1_SLICE = 64  # widest row colour refinement hands to one lexsort
-
-
-def _rank_wide(rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """``_rank_rows`` for rows of any width: while they are wider than
-    ``_WL1_SLICE``, each row's slices of that width are ranked as rows of their
-    own and the row becomes its slice ids.  Equal rows keep equal ids and
-    unequal rows unequal ones, at O(size) extra work."""
-    while rows.shape[1] > _WL1_SLICE:
-        m, width = rows.shape
-        padded = np.full((m, -(-width // _WL1_SLICE) * _WL1_SLICE), -1, dtype=np.int64)
-        padded[:, :width] = rows
-        ids, _ = _rank_rows(np.asfortranarray(padded.reshape(-1, _WL1_SLICE)))
-        rows = ids.reshape(m, -1)
-    return _rank_rows(np.asfortranarray(rows))
-
-
 def _wl1_report(g1, g2, colors1, colors2) -> EquivalenceReport:
     """Colour refinement on both graphs' vertices at once (graph 1's, then
     graph 2's).  A vertex's row is its class and its neighbours' classes,
@@ -262,18 +238,17 @@ def _wl1_report(g1, g2, colors1, colors2) -> EquivalenceReport:
         d = degree[vs[0]]
         groups.append((vs, nbr[first[vs][:, None] + np.arange(d)]))
 
-    C, count = _rank_rows(np.stack([degree, _joint_colors(g1, g2, colors1, colors2)]).T)
+    C, count = _rank(lambda: [np.stack([degree, _joint_colors(g1, g2, colors1, colors2)], axis=1)], n)
     rounds = [count]
     while True:
         new = np.empty(n, dtype=np.int64)
         count = 0
         for vs, nbrs in groups:
-            rows = np.empty((len(vs), 1 + nbrs.shape[1]), dtype=np.int64, order="F")
+            rows = np.empty((len(vs), 1 + nbrs.shape[1]), dtype=np.int64)
             rows[:, 0] = C[vs]
-            ranked = C[nbrs]
-            ranked.sort(axis=1)
-            rows[:, 1:] = ranked
-            ids, size = _rank_wide(rows)
+            rows[:, 1:] = C[nbrs]
+            rows[:, 1:].sort(axis=1)
+            ids, size = _rank(lambda: [rows], len(vs))
             new[vs] = ids + count
             count += size
         if count == rounds[-1]:
