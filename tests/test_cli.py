@@ -128,13 +128,9 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "tw", str(p))
     assert code == 3 and out == ""
     assert err.startswith("internal error:") and "decomposition fails validation" in err
-
-
-def test_hash_collisions_under_every_salt_exit_3(tmp_path, capsys, monkeypatch):
-    p = tmp_path / "p3.json"
-    run(capsys, "gen", "P", "3", "--out", str(p))
+    # a row hash that collides under every salt
     monkeypatch.setattr(equivalence, "_row_hash", lambda rows, salt: np.zeros(len(rows), dtype=np.uint64))
-    for logic, k in (("Ck", "2"), ("Ck", "3"), ("Lk", "2")):
+    for logic, k in (("Ck", "3"), ("Lk", "2")):
         code, out, err = run(capsys, "equiv", "--logic", logic, "--k", k, str(p), str(p))
         assert code == 3 and out == "" and err.startswith("internal error:"), (logic, k)
 

@@ -500,8 +500,8 @@ def test_wl1_matches_naive(pair):
 
 
 def test_wl1_hub_memory():
-    # the hub's row has 100,001 entries, hashed whole; one lexsort over them
-    # as keys would take hundreds of MB
+    # the hub's row has 100,001 entries and is ranked whole, so memory must
+    # stay linear in its degree
     star = bg.complete_bipartite(1, 100_000)
     perm = list(range(star.n))
     random.Random(3).shuffle(perm)
