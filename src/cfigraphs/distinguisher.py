@@ -31,10 +31,10 @@ The route for inputs of maximum degree >= 3:
      to the middle set.
   3. Gadgets of degree-1 and degree-2 base vertices are grown outward from
      known link pairs: the two external endpoints of a known pair form the
-     next pair, their fresh neighbors are the next middle set, and the middle
-     count (1 or 2) reveals the base degree.  The same walk over the pairs
-     names the gadget across each pair's base edge: the one its external
-     endpoints land in, or the one they grow.
+     next pair, their fresh neighbors are the next middle set, and one middle
+     makes a degree-1 gadget, more a degree-2 one closing on a second pair.
+     The same walk over the pairs names the gadget across each pair's base
+     edge: the one its external endpoints land in, or the one they grow.
   4. The first vertex of each twin pair is the tentative "a" side; where one
      middle touches an odd number of a gadget's representatives, one pair's
      representative switches, so every gadget's flip set is even.  The base
@@ -45,6 +45,10 @@ The route for inputs of maximum degree >= 3:
 
 Inputs of maximum degree <= 2 are settled directly from the component shapes
 of the path/cycle catalogue.
+
+Only step 4's certificate makes a verdict sound: off CFI graphs, steps 1-3
+(``decompose``) raise StructureError or return a decomposition it rejects, and
+check only what keeps them and the certificate from failing in another way.
 """
 
 from __future__ import annotations
@@ -208,30 +212,28 @@ def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset
 
 
 def decompose(g: BaseGraph) -> GadgetDecomposition:
-    """Recover the gadget structure of a CFI graph with some base degree >= 3."""
+    """Recover the gadget structure of a CFI graph with some base degree >= 3.
+
+    Off CFI graphs it raises StructureError or returns a decomposition that
+    ``orientation_parity``'s certificate rejects.
+    """
     gadgets: list[RecoveredGadget] = []
-    assignment: dict[int, int] = {}  # vertex -> gadget id
+    assignment: dict[int, int] = {}  # vertex -> gadget id, the last one to claim it
     pair_to_gadget: dict[tuple[int, int], int] = {}
 
     def add_gadget(vertices: frozenset[int], pairs, middles) -> int:
-        gid = len(gadgets)
         gadgets.append(RecoveredGadget(vertices, tuple(sorted(pairs)), frozenset(middles)))
-        for v in vertices:
-            if v in assignment:
-                raise StructureError(f"vertex {v} assigned to two gadgets")
-            assignment[v] = gid
-        return gid
+        assignment.update(dict.fromkeys(vertices, len(gadgets) - 1))
+        return len(gadgets) - 1
 
     # degree >= 3 gadgets straight from the short-cycle classes
     for verts in short_cycle_classes(g):
-        if (d := _GADGET_DEGREE_BY_SIZE.get(len(verts))) is None:
-            raise StructureError(f"no gadget of base degree 3..{MAX_GADGET_DEGREE} has {len(verts)} vertices")
         links = sorted(v for v in verts if not g.adjacency[v] <= verts)
+        if len(links) != 2 * _GADGET_DEGREE_BY_SIZE.get(len(verts), -1):
+            raise StructureError(f"no gadget of base degree 3..{MAX_GADGET_DEGREE} has {len(verts)} "
+                                 f"vertices, {len(links)} of them links")
         middles = verts - set(links)
-        if len(links) != 2 * d:
-            raise StructureError(f"gadget candidate has {len(links)} link vertices, not {2 * d}")
-        pairs = _twin_pairs_by_complement(g, links, frozenset(middles))
-        add_gadget(verts, pairs, middles)
+        add_gadget(verts, _twin_pairs_by_complement(g, links, frozenset(middles)), middles)
 
     # grow degree <= 2 gadgets outward from known link pairs, naming the
     # gadget across each pair's base edge on the way
@@ -239,47 +241,34 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
     while frontier:
         pair = frontier.pop()
         gid = assignment[pair[0]]
-        ext = []
-        for x in pair:
-            outside = [w for w in g.adjacency[x] if w not in gadgets[gid].vertices]
-            if len(outside) != 1:
-                raise StructureError(f"link vertex {x} does not have exactly one external edge")
-            ext.append(outside[0])
-        y1, y2 = ext
+        ext = [w for x in pair for w in g.adjacency[x] if w not in gadgets[gid].vertices]
+        if len(ext) != 2 or ext[0] == ext[1]:
+            raise StructureError(f"link pair {pair} does not leave its gadget along two edges to two vertices")
+        y1, y2 = ext = tuple(sorted(ext))
         if y1 in assignment or y2 in assignment:
-            landing = (min(y1, y2), max(y1, y2))
-            if y2 not in assignment or landing not in gadgets[assignment[y2]].pairs:
-                raise StructureError("cross edges of a link pair do not land on a twin pair")
+            # a landing pair whose own cross edges were walked already led them back here
+            if (y2 not in assignment or ext not in gadgets[assignment[y2]].pairs
+                    or pair_to_gadget.get(ext, gid) != gid):
+                raise StructureError("cross edges of a link pair do not land on a twin pair leading back")
             pair_to_gadget[pair] = assignment[y2]
             continue
-        if y1 == y2:
-            raise StructureError("link pair collapses onto one external vertex")
-        new_pair = (min(y1, y2), max(y1, y2))
-        # the new pair's placed neighbours must all lie across its base edge
-        around = g.adjacency[y1] | g.adjacency[y2]
-        if {assignment[w] for w in around if w in assignment} != {gid}:
-            raise StructureError("twin pair touches several gadgets")
-        middles = {w for w in around if w not in assignment} - {y1, y2}
-        pair_to_gadget[new_pair] = gid
+        middles = {w for w in g.adjacency[y1] | g.adjacency[y2] if w not in assignment} - {y1, y2}
+        pair_to_gadget[ext] = gid
         if len(middles) == 1:
-            pair_to_gadget[pair] = add_gadget(frozenset({y1, y2} | middles), [new_pair], middles)
-        elif len(middles) == 2:
-            other = set()
-            for m in middles:
-                other.update(w for w in g.adjacency[m] if w not in (y1, y2))
+            pair_to_gadget[pair] = add_gadget(frozenset(ext) | middles, [ext], middles)
+        else:
+            other = set().union(*[g.adjacency[m] for m in middles]) - middles - {y1, y2}
             if len(other) != 2:
                 raise StructureError("degree-2 gadget does not close on a second link pair")
-            o1, o2 = sorted(other)
-            verts = frozenset({y1, y2, o1, o2} | middles)
-            second = (o1, o2)
-            pair_to_gadget[pair] = add_gadget(verts, [new_pair, second], middles)
+            second = tuple(sorted(other))
+            pair_to_gadget[pair] = add_gadget(frozenset(ext + second) | middles, [ext, second], middles)
             frontier.append(second)
-        else:
-            raise StructureError(f"frontier gadget has {len(middles)} middle vertices, expected 1 or 2")
 
-    if len(assignment) != g.n:
-        missing = sorted(set(range(g.n)) - set(assignment))
-        raise StructureError(f"{len(missing)} vertices outside every gadget, e.g. {missing[:5]}")
+    # a gadget claiming an assigned vertex took it over, so the gadgets
+    # partition the vertices iff all are assigned and the sizes sum to n
+    claimed = sum(len(gad.vertices) for gad in gadgets)
+    if len(assignment) != g.n or claimed != g.n:
+        raise StructureError(f"the recovered gadgets claim {claimed} vertices and cover {len(assignment)} of {g.n}")
 
     base_edges = ((assignment[x], opp) for (x, _), opp in pair_to_gadget.items())
     base = BaseGraph.from_edges(len(gadgets), base_edges)

@@ -338,17 +338,49 @@ def test_structure_errors():
         dg.distinguish(bg.cycle(9))  # single odd cycle is no twisted image
 
 
+STAR_4_2_1 = bg.BaseGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (0, 7)])
+
+
 def test_grown_pair_touching_another_gadget_is_rejected():
     # a star with arms of length 4, 2 and 1, and a(3,2) on the long arm also
     # joined to the middle of pendant gadget 7, too far away to close a short
     # cycle.  In the construction's own labelling the walk grows gadget 7
     # first, so the pair a(3,2), b(3,2) is grown next to an assigned vertex of
-    # a gadget other than the one it came from.
-    base = bg.BaseGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (0, 7)])
-    c = cfi.build_cfi(base)
+    # a gadget other than the one it came from; the walk recovers the star,
+    # and the certificate rejects the extra edge.
+    c = cfi.build_cfi(STAR_4_2_1)
     extra = (c.link_index(3, 2, "a"), c.middle_index(7, ()))
-    with pytest.raises(StructureError, match="touches several gadgets"):
-        dg.decompose(bg.BaseGraph.from_edges(c.n, list(c.edges) + [extra]))
+    g = bg.BaseGraph.from_edges(c.n, list(c.edges) + [extra])
+    assert iso.find_isomorphism(dg.decompose(g).base, STAR_4_2_1) is not None
+    with pytest.raises(StructureError, match="not isomorphic to the CFI graph"):
+        dg.distinguish(g)
+
+
+def test_pair_landing_on_a_pair_grown_from_another_gadget_is_rejected():
+    # two triangles, each with a pendant base vertex, joined by a path; pendant
+    # gadget 7 is cut out and gadget 4's pair toward it joined to pendant
+    # gadget 3's links, so gadget 3 hangs off gadgets 0 and 4.  Whichever of
+    # the two pairs grows it, the other lands on a pair whose cross edges lead
+    # elsewhere, and gadget 3 would have a base edge with no twin pair behind it.
+    base = bg.BaseGraph.from_edges(10, [(0, 1), (1, 2), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6), (4, 7),
+                                        (2, 8), (8, 9), (9, 5)])
+    c = cfi.build_cfi(base)
+    edges = list(c.edges) + [(c.link_index(4, 7, s), c.link_index(3, 0, s)) for s in "ab"]
+    index = {v: i for i, v in enumerate(v for v in range(c.n) if v not in c.gadget_vertices(7))}
+    g = bg.BaseGraph.from_edges(len(index), [(index[x], index[y]) for x, y in edges if x in index and y in index])
+    for seed in range(3):
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        with pytest.raises(StructureError, match="leading back"):
+            dg.distinguish(g.relabel(perm))
+
+
+def test_short_cycle_class_without_links_is_rejected():
+    # the Petersen graph is one short-cycle class of a degree-3 gadget's size
+    # with no edge leaving it: as a gadget with no twin pairs it would recover
+    # a one-vertex base, whose CFI graph has no gadget to build
+    with pytest.raises(StructureError, match="0 of them links"):
+        dg.distinguish(bg.petersen())
 
 
 def test_links_sharing_a_middle_profile_are_rejected():
@@ -513,6 +545,7 @@ MUTATION_BASES = [
     bg.complete_bipartite(1, 3),
     bg.BaseGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),  # triangle, pendant path
     K4_SUBDIVIDED,
+    STAR_4_2_1,
 ]
 
 
