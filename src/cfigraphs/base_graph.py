@@ -6,11 +6,15 @@ downstream resolves to the lexicographically least option under this order.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import GraphFormatError, SizeGuardError
 
@@ -24,6 +28,26 @@ MAX_INPUT_VERTICES = 1_000_000
 
 def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def gc_paused(fn):
+    """``fn`` with the cyclic garbage collector paused for the call, and the
+    caller's ``gc.isenabled()`` state restored however it ends.
+
+    The graph code builds millions of sets and tuples that live until the
+    call returns and form no reference cycles, so every collector pass during
+    the call scans them and frees nothing.
+    """
+    @wraps(fn)
+    def call(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return call
 
 
 @dataclass(frozen=True)
@@ -93,21 +117,54 @@ class BaseGraph:
     def min_degree(self) -> int:
         return min(len(a) for a in self.adjacency)
 
-    def _edge_image(self, perm: Sequence[int]) -> tuple[Edge, ...]:
-        # a bijection's image has no loops or duplicates; only the order is lost
-        images = ((perm[u], perm[v]) for u, v in self.edges)
-        return tuple(sorted((p, q) if p < q else (q, p) for p, q in images))
+    @cached_property
+    def edge_ends(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array, rows in edge order."""
+        return np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges)).reshape(-1, 2)
 
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """The int64 keys u * n + v of the edges uv (u < v), ascending: the
+        edges are sorted, and n^2 <= 10^12 fits."""
+        return self.edge_ends[:, 0] * self.n + self.edge_ends[:, 1]
+
+    def image_keys(self, perm: Sequence[int]) -> Optional[np.ndarray]:
+        """The ascending ``edge_keys`` of the image of this graph under
+        v -> perm[v], or None when perm is not a bijection on 0..n-1.
+
+        A bijection's image has no loops or duplicates, so normalising each
+        image edge and sorting the keys gives exactly the image's keys.  The
+        range check comes before any indexing, so that a negative entry cannot
+        index from the end and pass for a vertex.
+        """
+        p = np.asarray(perm)
+        if p.shape != (self.n,) or p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= self.n:
+            return None
+        hit = np.zeros(self.n, dtype=bool)
+        hit[p] = True
+        if not hit.all():
+            return None
+        ends = p.astype(np.int64, copy=False)[self.edge_ends]
+        keys = np.minimum(ends[:, 0], ends[:, 1]) * self.n + np.maximum(ends[:, 0], ends[:, 1])
+        keys.sort()
+        return keys
+
+    @gc_paused
     def relabel(self, perm: Sequence[int]) -> "BaseGraph":
         """Image of the graph under vertex bijection v -> perm[v]."""
-        if sorted(perm) != list(range(self.n)):
+        keys = self.image_keys(perm)
+        if keys is None:
             raise ValueError("perm is not a bijection on 0..n-1")
-        return BaseGraph(self.n, self._edge_image(perm))
+        u, v = np.divmod(keys, self.n)
+        return BaseGraph(self.n, tuple(zip(u.tolist(), v.tolist())))
 
     def is_isomorphism(self, h: "BaseGraph", perm: Sequence[int]) -> bool:
         """True iff v -> perm[v] is a bijection onto the vertices of h that
         maps the edges of this graph exactly onto the edges of h."""
-        return self.n == h.n and sorted(perm) == list(range(h.n)) and self._edge_image(perm) == h.edges
+        if self.n != h.n or len(self.edges) != len(h.edges):
+            return False
+        keys = self.image_keys(perm)
+        return keys is not None and np.array_equal(keys, h.edge_keys)
 
 
 def connected_components(g: BaseGraph) -> list[frozenset[int]]:
@@ -269,6 +326,7 @@ def write_graph(
     raise ValueError(f"unknown format {fmt!r}")
 
 
+@gc_paused
 def read_graph(data: bytes, fmt: str = "json") -> tuple[BaseGraph, dict]:
     """Parse a graph; returns (graph, meta) where meta may carry colors/names."""
     if fmt == "json":

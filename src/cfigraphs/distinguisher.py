@@ -14,11 +14,14 @@ The route for inputs of maximum degree >= 3:
      back level by level from the meeting set) closes with uv into a cycle of
      length d + 1 <= 8 and joins u's class.  No BFS runs for an edge inside one
      class or leaving a closed one, whose size is 2d + 2^(d-1) and largest
-     degree 2^(d-2) + 1 for one d in 3..MAX_GADGET_DEGREE; an edge between two
-     classes of several vertices waits for a second pass, by which one may
-     have closed.  A miss at an end of degree <= 2 closes it and its chain of
-     degree-2 vertices as singletons: every cycle through the chain uses the
-     missed edge.  In a CFI graph a closed class of several vertices is a whole
+     degree 2^(d-2) + 1 for one d in 3..MAX_GADGET_DEGREE.  The edges go in
+     three passes: those between two singletons, then those with one
+     singleton end, then the rest, so that more gadgets close before their
+     cross edges come up; an edge waiting for a later pass may find a class
+     closed by then.  Nothing below depends on the order of the edges.  A
+     miss at an end of degree <= 2 closes it and its chain of degree-2
+     vertices as singletons: every cycle through the chain uses the missed
+     edge.  In a CFI graph a closed class of several vertices is a whole
      gadget, so the skipped edges are cross edges: a class lies inside one
      gadget, of degree d' say, and holds a link (every gadget edge joins a
      link to a middle), whose degree 2^(d'-2) + 1 is the gadget's largest and
@@ -28,7 +31,9 @@ The route for inputs of maximum degree >= 3:
      certificate settles the rest.
   2. Inside each recovered gadget, link vertices are the ones with an edge
      leaving the gadget, and twin pairs are found by complementary adjacency
-     to the middle set.
+     to the middle set, which is not empty.  Every link needs exactly one
+     partner; then partnership is symmetric, so each pair is read once, from
+     its smaller end.
   3. Gadgets of degree-1 and degree-2 base vertices are grown outward from
      known link pairs: the two external endpoints of a known pair form the
      next pair, their fresh neighbors are the next middle set, and one middle
@@ -41,7 +46,9 @@ The route for inputs of maximum degree >= 3:
      edges whose representatives are not adjacent form a twist set T, and the
      representatives, twins and middles map onto the CFI graph of the
      recovered base with twist set T.  The verdict is |T| mod 2, returned
-     only once that map is checked to be an isomorphism.
+     only once that map is checked to be an isomorphism: the sorted int64
+     keys min * n + max of the mapped edges must equal those of the named
+     graph (``BaseGraph.is_isomorphism``).
 
 Inputs of maximum degree <= 2 are settled directly from the component shapes
 of the path/cycle catalogue.
@@ -49,6 +56,10 @@ of the path/cycle catalogue.
 Only step 4's certificate makes a verdict sound: off CFI graphs, steps 1-3
 (``decompose``) raise StructureError or return a decomposition it rejects, and
 check only what keeps them and the certificate from failing in another way.
+
+``distinguish`` runs with the cyclic garbage collector paused (``gc_paused``),
+as ``read_graph`` does: the sets and tuples it builds form no reference
+cycles and live until it returns, so a collector pass would only scan them.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cfi
-from .base_graph import BaseGraph, classify_linear, cycle, is_connected, path
+from .base_graph import BaseGraph, classify_linear, cycle, gc_paused, is_connected, path
 from .errors import StructureError
 from .gadget import MAX_GADGET_DEGREE
 
@@ -149,13 +160,18 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    edges, deferred = g.edges, []
-    for first in (True, False):
+    edges = g.edges
+    for singletons in (2, 1, 0):  # the singleton ends an edge needs in this pass
+        deferred = []
         for u, v in edges:
-            root, other = find(u), find(v)
+            root, other = u, v  # find(u), find(v), inlined: most edges stop at the next test
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            while parent[other] != other:
+                parent[other] = other = parent[parent[other]]
             if root == other or closed[root] or closed[other]:
                 continue
-            if first and size[root] > 1 and size[other] > 1:  # either class may close first
+            if (size[root] == 1) + (size[other] == 1) < singletons:
                 deferred.append((u, v))
             elif meeting := _meet(adj, u, v, max_len - 1):
                 *sides, met = meeting
@@ -198,17 +214,21 @@ class GadgetDecomposition:
 
 
 def _twin_pairs_by_complement(g: BaseGraph, links: list[int], middles: frozenset[int]) -> list[tuple[int, int]]:
-    by_profile: dict[frozenset[int], list[int]] = {}
+    """The pairs of links, in order, whose neighbours among the nonempty
+    middle set are complementary; ``links`` is sorted."""
+    adj, by_profile = g.adjacency, {}
     for x in links:
-        by_profile.setdefault(g.adjacency[x] & middles, []).append(x)
-    pairs = set()
+        by_profile.setdefault(adj[x] & middles, []).append(x)
+    pairs = []
     for x in links:
-        partners = [y for y in by_profile.get(middles - g.adjacency[x], ()) if y != x]
+        # x's own profile is never its complement, as middles is nonempty
+        partners = by_profile.get(middles - adj[x], ())
         if len(partners) != 1:
             raise StructureError(f"link vertex {x} has {len(partners)} complementary partners, expected 1")
-        y = partners[0]
-        pairs.add((min(x, y), max(x, y)))
-    return sorted(pairs)
+        # partnership is symmetric once every link has one partner
+        if x < partners[0]:
+            pairs.append((x, partners[0]))
+    return pairs
 
 
 def decompose(g: BaseGraph) -> GadgetDecomposition:
@@ -217,7 +237,7 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
     Off CFI graphs it raises StructureError or returns a decomposition that
     ``orientation_parity``'s certificate rejects.
     """
-    gadgets: list[RecoveredGadget] = []
+    adj, gadgets = g.adjacency, []
     assignment: dict[int, int] = {}  # vertex -> gadget id, the last one to claim it
     pair_to_gadget: dict[tuple[int, int], int] = {}
 
@@ -228,7 +248,7 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
 
     # degree >= 3 gadgets straight from the short-cycle classes
     for verts in short_cycle_classes(g):
-        links = sorted(v for v in verts if not g.adjacency[v] <= verts)
+        links = sorted(v for v in verts if not adj[v] <= verts)
         if len(links) != 2 * _GADGET_DEGREE_BY_SIZE.get(len(verts), -1):
             raise StructureError(f"no gadget of base degree 3..{MAX_GADGET_DEGREE} has {len(verts)} "
                                  f"vertices, {len(links)} of them links")
@@ -241,7 +261,8 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
     while frontier:
         pair = frontier.pop()
         gid = assignment[pair[0]]
-        ext = [w for x in pair for w in g.adjacency[x] if w not in gadgets[gid].vertices]
+        own = gadgets[gid].vertices
+        ext = [w for x in pair for w in adj[x] if w not in own]
         if len(ext) != 2 or ext[0] == ext[1]:
             raise StructureError(f"link pair {pair} does not leave its gadget along two edges to two vertices")
         y1, y2 = ext = tuple(sorted(ext))
@@ -252,12 +273,12 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
                 raise StructureError("cross edges of a link pair do not land on a twin pair leading back")
             pair_to_gadget[pair] = assignment[y2]
             continue
-        middles = {w for w in g.adjacency[y1] | g.adjacency[y2] if w not in assignment} - {y1, y2}
+        middles = {w for w in adj[y1] | adj[y2] if w not in assignment} - {y1, y2}
         pair_to_gadget[ext] = gid
         if len(middles) == 1:
             pair_to_gadget[pair] = add_gadget(frozenset(ext) | middles, [ext], middles)
         else:
-            other = set().union(*[g.adjacency[m] for m in middles]) - middles - {y1, y2}
+            other = set().union(*[adj[m] for m in middles]) - middles - {y1, y2}
             if len(other) != 2:
                 raise StructureError("degree-2 gadget does not close on a second link pair")
             second = tuple(sorted(other))
@@ -300,14 +321,15 @@ def orientation_parity(g: BaseGraph, dec: GadgetDecomposition) -> str:
                       if not g.has_edge(oriented[u, v][0], oriented[v, u][0]))
 
     h = cfi._build(dec.base, False, twist)
-    phi = [-1] * g.n
-    for (u, v), (a, b) in oriented.items():
-        phi[a], phi[b] = h.link_index(u, v, "a"), h.link_index(u, v, "b")
-    for u, gad in enumerate(dec.gadgets):
-        off, d = h.offsets[u], h.blocks[u].d
-        for m in gad.middles:
+    adj, phi = g.adjacency, [-1] * g.n
+    for u, nbrs in enumerate(dec.base.sorted_adjacency):
+        off, d = h.offsets[u], len(nbrs)
+        for i, v in enumerate(nbrs):  # a(u,v) and b(u,v) of h, as in cfi's layout
+            a, b = oriented[u, v]
+            phi[a], phi[b] = off + i, off + d + i
+        for m in dec.gadgets[u].middles:
             # the a(u,v) among m's neighbours are the representatives it touches
-            mask = sum(1 << (phi[x] - off) for x in g.adjacency[m] if off <= phi[x] < off + d)
+            mask = sum(1 << (phi[x] - off) for x in adj[m] if off <= phi[x] < off + d)
             phi[m] = off + 2 * d + (mask >> 1)
     if not g.is_isomorphism(h.graph, phi):
         raise StructureError("the input is not isomorphic to the CFI graph of its recovered base")
@@ -344,6 +366,7 @@ def _distinguish_linear(g: BaseGraph) -> Verdict:
     raise StructureError(f"component shapes {shapes} match no CFI graph of base degree <= 2")
 
 
+@gc_paused
 def distinguish(g: BaseGraph) -> Verdict:
     """Decide whether g is the original or the twisted CFI graph, and of what base."""
     if g.max_degree() <= 2:

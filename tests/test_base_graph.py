@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,8 +178,8 @@ def test_classify_linear_relabel_invariant(g, rnd):
 def vertex_maps(draw):
     """(g, h, p): h is g relabelled by a permutation sigma, the same with one
     vertex pair toggled, or any graph, often of another order; p is sigma,
-    another permutation, sigma with a repeated entry, or one entry too short
-    or too long."""
+    another permutation, sigma with a repeated entry, with one entry -1 or
+    n + 1, or one entry too short or too long."""
     g = draw(graphs())
     sigma = draw(st.permutations(range(g.n)))
     h = g.relabel(sigma)
@@ -188,12 +190,15 @@ def vertex_maps(draw):
     elif target == "any":
         h = draw(graphs())
     p = list(sigma)
-    sequence = draw(st.sampled_from(["sigma", "permutation", "repeated", "short", "long"]))
+    sequence = draw(st.sampled_from(["sigma", "permutation", "repeated", "negative", "past", "short", "long"]))
     if sequence == "permutation":
         p = draw(st.permutations(range(g.n)))
     elif sequence == "repeated" and g.n > 1:
         i, j = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
         p[i] = p[j]
+    elif sequence in ("negative", "past"):
+        # -1 would index the last vertex if it were used as an index unchecked
+        p[draw(st.integers(0, g.n - 1))] = -1 if sequence == "negative" else g.n + 1
     elif sequence == "short":
         p = p[:-1]
     elif sequence == "long":
@@ -205,9 +210,31 @@ def vertex_maps(draw):
 @given(vertex_maps())
 def test_is_isomorphism_matches_brute_force(case):
     g, h, p = case
-    bijection = len(p) == g.n == h.n and set(p) == set(range(h.n))
+    permutes_g = len(p) == g.n and set(p) == set(range(g.n))
+    bijection = permutes_g and g.n == h.n
     want = bijection and all(g.has_edge(u, v) == h.has_edge(p[u], p[v])
                              for u in range(g.n) for v in range(u + 1, g.n))
     assert g.is_isomorphism(h, p) == want
     if bijection:
         assert (g.relabel(p).edges == h.edges) == want
+    if not permutes_g:
+        with pytest.raises(ValueError, match="not a bijection"):
+            g.relabel(p)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_graph_restores_the_collector_state(enabled):
+    data = bg.write_graph(bg.petersen())
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert bg.read_graph(data)[0] == bg.petersen()
+        assert gc.isenabled() == enabled
+        with pytest.raises(GraphFormatError):
+            bg.read_graph(b'{"n": 2, "edges": [[0, 2]]}')
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            bg.petersen().relabel([0])
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
