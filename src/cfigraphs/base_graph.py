@@ -26,10 +26,6 @@ Edge = tuple[int, int]
 MAX_INPUT_VERTICES = 1_000_000
 
 
-def _normalize_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 def gc_paused(fn):
     """``fn`` with the cyclic garbage collector paused for the call, and the
     caller's ``gc.isenabled()`` state restored however it ends.
@@ -78,7 +74,7 @@ class BaseGraph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "BaseGraph":
         """Build a graph, normalizing edge order and deduplicating."""
-        return BaseGraph(n, tuple(sorted({_normalize_edge(u, v) for u, v in edges})))
+        return BaseGraph(n, tuple(sorted({(u, v) if u < v else (v, u) for u, v in edges})))
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -156,7 +152,9 @@ class BaseGraph:
         if keys is None:
             raise ValueError("perm is not a bijection on 0..n-1")
         u, v = np.divmod(keys, self.n)
-        return BaseGraph(self.n, tuple(zip(u.tolist(), v.tolist())))
+        # one int object per vertex, shared by all its edges
+        vertex = np.arange(self.n).astype(object)
+        return BaseGraph(self.n, tuple(zip(vertex[u].tolist(), vertex[v].tolist())))
 
     def is_isomorphism(self, h: "BaseGraph", perm: Sequence[int]) -> bool:
         """True iff v -> perm[v] is a bijection onto the vertices of h that
@@ -401,7 +399,7 @@ def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
                 raise GraphFormatError(f"line {lineno}: loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: vertex out of range")
-            edges.add(_normalize_edge(u, v))  # duplicates tolerated silently
+            edges.add((u, v) if u < v else (v, u))  # duplicates tolerated silently
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:

@@ -131,7 +131,8 @@ def _meet(adj, u: int, v: int, reach: int):
     while not met and radii < reach and side_a[-1] and side_b[-1]:
         if len(side_a[-1]) > len(side_b[-1]):  # the sides are symmetric
             side_a, side_b, seen_a, seen_b = side_b, side_a, seen_b, seen_a
-        front = set().union(*[adj[x] for x in side_a[-1]]) - seen_a
+        front = set().union(*map(adj.__getitem__, side_a[-1]))
+        front -= seen_a
         met = front & side_b[-1]
         side_a.append(front)
         seen_a |= front
@@ -179,7 +180,7 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
                 for levels in sides:  # step back from the meeting set to u and to v
                     kept = met
                     for level in reversed(levels[:-1]):
-                        kept = level & set().union(*[adj[x] for x in kept])
+                        kept = level & set().union(*map(adj.__getitem__, kept))
                         joined |= kept
                 for x in joined:
                     if (rx := find(x)) != root:
