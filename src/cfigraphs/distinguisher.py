@@ -154,7 +154,8 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
     sorted by least vertex, each inside one component of the ``short_cycle_edges``
     subgraph; on a CFI graph with max_len 8, its gadgets of degree >= 3 (step 1)."""
     adj, parent = g.adjacency, list(range(g.n))
-    size, top, closed = [1] * g.n, [len(a) for a in adj], [False] * g.n  # per root
+    top, closed = [len(a) for a in adj], [False] * g.n  # per root
+    members: dict[int, list[int]] = {}  # per root of a class of several vertices
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -172,7 +173,7 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
                 parent[other] = other = parent[parent[other]]
             if root == other or closed[root] or closed[other]:
                 continue
-            if (size[root] == 1) + (size[other] == 1) < singletons:
+            if (root not in members) + (other not in members) < singletons:
                 deferred.append((u, v))
             elif meeting := _meet(adj, u, v, max_len - 1):
                 *sides, met = meeting
@@ -182,11 +183,14 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
                     for level in reversed(levels[:-1]):
                         kept = level & set().union(*map(adj.__getitem__, kept))
                         joined |= kept
+                joining = members.setdefault(root, [root])  # v's class joins, so it grows
                 for x in joined:
                     if (rx := find(x)) != root:
                         parent[rx] = root
-                        size[root], top[root] = size[root] + size[rx], max(top[root], top[rx])
-                d = _GADGET_DEGREE_BY_SIZE.get(size[root])
+                        joining += members.pop(rx, (rx,))
+                        if top[rx] > top[root]:
+                            top[root] = top[rx]
+                d = _GADGET_DEGREE_BY_SIZE.get(len(joining))
                 closed[root] = d is not None and top[root] == (1 << (d - 2)) + 1
             else:
                 chain = [x for x in (u, v) if len(adj[x]) <= 2]
@@ -194,10 +198,7 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
                     closed[x := chain.pop()] = True
                     chain += [y for y in adj[x] if len(adj[y]) == 2 and not closed[y]]
         edges = deferred
-    classes: dict[int, set[int]] = {}
-    for x in range(g.n):
-        classes.setdefault(find(x), set()).add(x)
-    return [frozenset(c) for c in classes.values() if len(c) > 1]
+    return sorted(map(frozenset, members.values()), key=min)
 
 
 @dataclass
