@@ -313,17 +313,17 @@ def orientation_parity(g: BaseGraph, dec: GadgetDecomposition) -> str:
     onto the middle whose mask is the set of pairs whose representative it
     touches; a map that is not an isomorphism raises StructureError.
     """
+    adj = g.adjacency
     oriented: dict[tuple[int, int], tuple[int, int]] = {}  # (u, v) -> (a(u,v), b(u,v))
     for u, gad in enumerate(dec.gadgets):
-        m0 = min(gad.middles)
-        odd = sum(1 for x, _ in gad.pairs if g.has_edge(x, m0)) % 2
+        near = adj[min(gad.middles)]
+        odd = sum(x in near for x, _ in gad.pairs) % 2
         for k, pair in enumerate(gad.pairs):
             oriented[u, dec.pair_to_gadget[pair]] = pair[::-1] if odd and k == 0 else pair
-    twist = frozenset((u, v) for u, v in dec.base.edges
-                      if not g.has_edge(oriented[u, v][0], oriented[v, u][0]))
+    twist = frozenset((u, v) for u, v in dec.base.edges if oriented[v, u][0] not in adj[oriented[u, v][0]])
 
     h = cfi._build(dec.base, False, twist)
-    adj, phi = g.adjacency, [-1] * g.n
+    phi = [-1] * g.n
     for u, nbrs in enumerate(dec.base.sorted_adjacency):
         off, d = h.offsets[u], len(nbrs)
         for i, v in enumerate(nbrs):  # a(u,v) and b(u,v) of h, as in cfi's layout
