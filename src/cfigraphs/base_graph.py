@@ -113,7 +113,6 @@ class BaseGraph:
     def min_degree(self) -> int:
         return min(len(a) for a in self.adjacency)
 
-    @cached_property
     def edge_ends(self) -> np.ndarray:
         """The edges as an (m, 2) int64 array, rows in edge order."""
         return np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(self.edges)).reshape(-1, 2)
@@ -122,9 +121,10 @@ class BaseGraph:
     def edge_keys(self) -> np.ndarray:
         """The int64 keys u * n + v of the edges uv (u < v), ascending: the
         edges are sorted, and n^2 <= 10^12 fits."""
-        return self.edge_ends[:, 0] * self.n + self.edge_ends[:, 1]
+        ends = self.edge_ends()
+        return ends[:, 0] * self.n + ends[:, 1]
 
-    def image_keys(self, perm: Sequence[int]) -> Optional[np.ndarray]:
+    def _image_keys(self, perm: Sequence[int]) -> Optional[np.ndarray]:
         """The ascending ``edge_keys`` of the image of this graph under
         v -> perm[v], or None when perm is not a bijection on 0..n-1.
 
@@ -140,7 +140,7 @@ class BaseGraph:
         hit[p] = True
         if not hit.all():
             return None
-        ends = p.astype(np.int64, copy=False)[self.edge_ends]
+        ends = p.astype(np.int64, copy=False)[self.edge_ends()]
         keys = np.minimum(ends[:, 0], ends[:, 1]) * self.n + np.maximum(ends[:, 0], ends[:, 1])
         keys.sort()
         return keys
@@ -148,7 +148,7 @@ class BaseGraph:
     @gc_paused
     def relabel(self, perm: Sequence[int]) -> "BaseGraph":
         """Image of the graph under vertex bijection v -> perm[v]."""
-        keys = self.image_keys(perm)
+        keys = self._image_keys(perm)
         if keys is None:
             raise ValueError("perm is not a bijection on 0..n-1")
         u, v = np.divmod(keys, self.n)
@@ -161,7 +161,7 @@ class BaseGraph:
         maps the edges of this graph exactly onto the edges of h."""
         if self.n != h.n or len(self.edges) != len(h.edges):
             return False
-        keys = self.image_keys(perm)
+        keys = self._image_keys(perm)
         return keys is not None and np.array_equal(keys, h.edge_keys)
 
 

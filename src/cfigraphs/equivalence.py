@@ -225,9 +225,7 @@ def _wl1_report(g1, g2, colors1, colors2) -> EquivalenceReport:
     sorted; rows are ranked per degree group, and the seed class holds the
     degree, so group ids offset into one class array."""
     n1, n = g1.n, g1.n + g2.n
-    ends = np.concatenate([
-        np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * len(g.edges))
-        .reshape(-1, 2) + top for g, top in ((g1, 0), (g2, n1))])
+    ends = np.concatenate([g.edge_ends() + top for g, top in ((g1, 0), (g2, n1))])
     src = np.concatenate([ends[:, 0], ends[:, 1]])
     nbr = np.concatenate([ends[:, 1], ends[:, 0]])[np.argsort(src, kind="stable")]
     degree = np.bincount(src, minlength=n)
