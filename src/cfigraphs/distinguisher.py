@@ -14,14 +14,11 @@ The route for inputs of maximum degree >= 3:
      back level by level from the meeting set) closes with uv into a cycle of
      length d + 1 <= 8 and joins u's class.  No BFS runs for an edge inside one
      class or leaving a closed one, whose size is 2d + 2^(d-1) and largest
-     degree 2^(d-2) + 1 for one d in 3..MAX_GADGET_DEGREE.  The edges go in
-     three passes: those between two singletons, then those with one
-     singleton end, then the rest, so that more gadgets close before their
-     cross edges come up; an edge waiting for a later pass may find a class
-     closed by then.  Nothing below depends on the order of the edges.  A
-     miss at an end of degree <= 2 closes it and its chain of degree-2
-     vertices as singletons: every cycle through the chain uses the missed
-     edge.  In a CFI graph a closed class of several vertices is a whole
+     degree 2^(d-2) + 1 for one d in 3..MAX_GADGET_DEGREE; an edge between two
+     classes of several vertices waits for a second pass, by which one may
+     have closed.  A miss at an end of degree <= 2 closes it and its chain of
+     degree-2 vertices as singletons: every cycle through the chain uses the
+     missed edge.  In a CFI graph a closed class of several vertices is a whole
      gadget, so the skipped edges are cross edges: a class lies inside one
      gadget, of degree d' say, and holds a link (every gadget edge joins a
      link to a middle), whose degree 2^(d'-2) + 1 is the gadget's largest and
@@ -162,9 +159,8 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
             parent[x] = x = parent[parent[x]]  # path halving
         return x
 
-    edges = g.edges
-    for singletons in (2, 1, 0):  # the singleton ends an edge needs in this pass
-        deferred = []
+    edges, deferred = g.edges, []
+    for first in (True, False):
         for u, v in edges:
             root, other = u, v  # find(u), find(v), inlined: most edges stop at the next test
             while parent[root] != root:
@@ -173,7 +169,7 @@ def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:
                 parent[other] = other = parent[parent[other]]
             if root == other or closed[root] or closed[other]:
                 continue
-            if (root not in members) + (other not in members) < singletons:
+            if first and root in members and other in members:  # either class may close first
                 deferred.append((u, v))
             elif meeting := _meet(adj, u, v, max_len - 1):
                 *sides, met = meeting

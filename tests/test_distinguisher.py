@@ -150,11 +150,11 @@ def test_short_cycle_classes_join_whole_shortest_paths(monkeypatch):
         assert dg.short_cycle_classes(THETA, max_len) == _classes(THETA.n, _cycle_edges(THETA, max_len))
     calls = _counted_bfs(monkeypatch)
     assert dg.short_cycle_classes(THETA) == [frozenset(range(8))]
-    # edges between two singletons go first: edge 01 meets at 3 and joins 2
-    # and 3 too, edge 45 joins the rest of the 5-path; the other theta edges
-    # are skipped.  Edge 89 of the 9-cycle misses, which closes the cycle's
-    # degree-2 chain 8..15, so no other edge of the 9-cycle is searched
-    assert calls == [(0, 1), (4, 5), (8, 9)]
+    # edge 01 meets at 3 and joins 2 and 3 too, edge 04 joins the 5-path; the
+    # other theta edges are skipped.  Edge 78 of the 9-cycle misses at 8, of
+    # degree 2, which closes the cycle's degree-2 chain 8..15, so no other
+    # edge of the 9-cycle is searched
+    assert calls == [(0, 1), (0, 4), (7, 8)]
 
 
 def test_short_cycle_classes_search_one_edge_per_degree_two_strand(monkeypatch):
@@ -172,12 +172,12 @@ def test_short_cycle_classes_search_one_edge_per_degree_two_strand(monkeypatch):
 def test_short_cycle_classes_search_two_edges_per_cubic_gadget(monkeypatch):
     # the first BFS in a degree-3 gadget joins 9 of its 10 vertices and the
     # second the last one, which closes the class; the 2|E| cross edges lie
-    # on no short cycle, and only 3 are reached before either end's gadget closed
+    # on no short cycle, and only 4 are reached before either end's gadget closed
     base = bg.petersen()
     g = _scrambled(cfi.build_tilde(base), random.Random(7))
     calls = _counted_bfs(monkeypatch)
     assert len(dg.short_cycle_classes(g)) == base.n
-    assert len(calls) == 2 * base.n + 3
+    assert len(calls) == 2 * base.n + 4
 
 
 # degrees 3, 4 and 5: the wheel on hub 0 and rim 1..5, with the chord 1-3
