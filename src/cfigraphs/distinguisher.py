@@ -235,7 +235,8 @@ def decompose(g: BaseGraph) -> GadgetDecomposition:
     Off CFI graphs it raises StructureError or returns a decomposition that
     ``orientation_parity``'s certificate rejects.
     """
-    adj, gadgets = g.adjacency, []
+    adj = g.adjacency
+    gadgets: list[RecoveredGadget] = []
     assignment: dict[int, int] = {}  # vertex -> gadget id, the last one to claim it
     pair_to_gadget: dict[tuple[int, int], int] = {}
 
