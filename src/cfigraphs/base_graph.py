@@ -190,6 +190,15 @@ def is_connected(g: BaseGraph) -> bool:
     return len(connected_components(g)) == 1
 
 
+def vertex_colors(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[int]:
+    """One colour per vertex of g, every engine's reading: all 0 when none are given."""
+    if colors is None:
+        return [0] * g.n
+    if len(colors) != g.n:
+        raise ValueError("colors length must match vertex count")
+    return list(colors)
+
+
 @dataclass(frozen=True, order=True)
 class LinearShape:
     """Shape of one connected component: a path or cycle of the given edge count,
@@ -379,7 +388,7 @@ def _dimacs_int(token: str, lineno: int) -> int:
 
 def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
     n = None
-    edges: set[Edge] = set()
+    edges: list[Edge] = []
     for lineno, raw in enumerate(data.decode(errors="replace").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -399,12 +408,12 @@ def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
                 raise GraphFormatError(f"line {lineno}: loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: vertex out of range")
-            edges.add((u, v) if u < v else (v, u))  # duplicates tolerated silently
+            edges.append((u, v))  # from_edges normalises; duplicates tolerated silently
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing 'p edge' line")
-    return BaseGraph(n, tuple(sorted(edges))), {}
+    return BaseGraph.from_edges(n, edges), {}
 
 
 def disjoint_union(g: BaseGraph, h: BaseGraph) -> BaseGraph:

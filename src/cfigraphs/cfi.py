@@ -3,12 +3,12 @@ along base edges, with an optional per-edge twist.
 
 Layout.  The gadget over a base vertex u of degree d is the block
 ``gadget.build_gadget(d)`` placed at offset ``offsets[u]``, the prefix sum of
-the block sizes 2d + 2^(d-1) of the base vertices before u.  Inside the block,
-a neighbor v of u has rank i in the ascending neighbor list of u; a(u,v) sits
-at offset + i and its twin b(u,v) at offset + d + i.  The middle vertex whose
-members are the neighbors at the set bits of an even mask sits at
-offset + 2d + (mask >> 1), and it is adjacent to a(u,v) for its members and
-to b(u,v) otherwise.
+the block sizes ``gadget_order(d)`` = 2d + 2^(d-1) of the base vertices before
+u.  Inside the block, a neighbor v of u has rank i in the ascending neighbor
+list of u; a(u,v) sits at offset + i and its twin b(u,v) at offset + d + i.
+The middle vertex whose members are the neighbors at the set bits of an even
+mask sits at offset + 2d + (mask >> 1), and it is adjacent to a(u,v) for its
+members and to b(u,v) otherwise.
 
 For an untwisted base edge uv the cross edges are a(u,v)-a(v,u) and
 b(u,v)-b(v,u); twisting uv swaps them for the crossed pair a(u,v)-b(v,u) and
@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .base_graph import MAX_INPUT_VERTICES, BaseGraph, Edge, is_connected
 from .errors import GraphFormatError, SizeGuardError
-from .gadget import Gadget, build_gadget, flip_perm, lift_permutation
+from .gadget import Gadget, build_gadget, flip_perm, gadget_order, lift_permutation
 
 
 @dataclass(frozen=True, order=True)
@@ -181,7 +181,7 @@ def build_tilde(base: BaseGraph, colored: bool = False) -> CfiGraph:
 
 
 def expected_vertex_count(base: BaseGraph) -> int:
-    return sum(2 * base.degree(u) + (1 << (base.degree(u) - 1)) for u in range(base.n))
+    return sum(gadget_order(base.degree(u)) for u in range(base.n))
 
 
 def as_base_graph(c: CfiGraph) -> tuple[BaseGraph, Optional[list[int]], list[str]]:
@@ -214,6 +214,8 @@ def gadget_flip_map(c: CfiGraph, flips: dict[int, frozenset[int]]) -> tuple[int,
     symmetric difference."""
     out = list(range(c.n))
     for u, subset in flips.items():
+        if not 0 <= u < c.base.n:
+            raise ValueError(f"flip at {u}, which is not a base vertex")
         if len(subset) % 2 != 0:
             raise ValueError(f"flip at {u} has odd size")
         if not subset <= c.base.adjacency[u]:

@@ -144,45 +144,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct CFI graphs, detect twists, and verify their structure theory.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph_file = argparse.ArgumentParser(add_help=False)  # the commands that read or write graph files
+    graph_file.add_argument("--format", default="json", choices=["json", "dimacs"])
 
-    p = sub.add_parser("gen", help="generate a base graph or a CFI variant of it")
+    p = sub.add_parser("gen", parents=[graph_file], help="generate a base graph or a CFI variant of it")
     p.add_argument("family", choices=sorted(bg.FAMILY_BUILDERS))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--variant", default="base",
                    choices=["base", "Y", "Ytilde", "X", "Xtilde", "Xpath"])
-    p.add_argument("--format", default="json", choices=["json", "dimacs"])
     p.add_argument("--out")
     p.add_argument("--relabel-seed", type=int, default=None,
                    help="shuffle vertex labels deterministically")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("distinguish", help="original or twisted, with base recovery")
+    p = sub.add_parser("distinguish", parents=[graph_file], help="original or twisted, with base recovery")
     p.add_argument("file")
-    p.add_argument("--format", default="json", choices=["json", "dimacs"])
     p.set_defaults(func=_cmd_distinguish)
 
-    p = sub.add_parser("equiv", help="bounded-variable logic equivalence of two graphs")
+    p = sub.add_parser("equiv", parents=[graph_file], help="bounded-variable logic equivalence of two graphs")
     p.add_argument("--logic", required=True, choices=["Lk", "Ck"])
     p.add_argument("--k", required=True, type=int)
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--format", default="json", choices=["json", "dimacs"])
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("tw", help="exact treewidth with a witness decomposition")
+    p = sub.add_parser("tw", parents=[graph_file], help="exact treewidth with a witness decomposition")
     p.add_argument("file")
-    p.add_argument("--format", default="json", choices=["json", "dimacs"])
     p.set_defaults(func=_cmd_tw)
 
-    p = sub.add_parser("hom", help="homomorphism counts from the 2-subdivision")
+    p = sub.add_parser("hom", parents=[graph_file], help="homomorphism counts from the 2-subdivision")
     p.add_argument("--base", required=True)
-    p.add_argument("--format", default="json", choices=["json", "dimacs"])
     p.set_defaults(func=_cmd_hom)
 
-    p = sub.add_parser("focheck", help="first-order color recovery against ground truth")
+    p = sub.add_parser("focheck", parents=[graph_file], help="first-order color recovery against ground truth")
     p.add_argument("file")
     p.add_argument("--base-file", required=True)
-    p.add_argument("--format", default="json", choices=["json", "dimacs"])
     p.set_defaults(func=_cmd_focheck)
 
     p = sub.add_parser("verify-suite", help="run the whole acceptance battery")

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from . import cfi
 from .base_graph import BaseGraph, classify_linear, cycle, gc_paused, is_connected, path
 from .errors import StructureError
-from .gadget import MAX_GADGET_DEGREE
+from .gadget import MAX_GADGET_DEGREE, gadget_order
 
 
 def short_cycles(g: BaseGraph, max_len: int = 8) -> list[tuple[int, ...]]:
@@ -143,7 +143,7 @@ def short_cycle_edges(g: BaseGraph, max_len: int = 8) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges if _meet(g.adjacency, u, v, max_len - 1)]
 
 
-_GADGET_DEGREE_BY_SIZE = {2 * d + (1 << (d - 1)): d for d in range(3, MAX_GADGET_DEGREE + 1)}
+_GADGET_DEGREE_BY_SIZE = {gadget_order(d): d for d in range(3, MAX_GADGET_DEGREE + 1)}
 
 
 def short_cycle_classes(g: BaseGraph, max_len: int = 8) -> list[frozenset[int]]:

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .base_graph import BaseGraph
+from .base_graph import BaseGraph, vertex_colors
 from .errors import SizeGuardError
 
 LK_TUPLE_GUARD = 250_000
@@ -57,19 +57,11 @@ SLAB_CELLS = 1 << 18  # int64 cells of the rows one slab builds and ranks at onc
 SALTS = 8  # salts a ranking tries; a collision under each is an engine fault
 
 
-def _norm_colors(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[int]:
-    if colors is None:
-        return [0] * g.n
-    if len(colors) != g.n:
-        raise ValueError("colors length must match vertex count")
-    return list(colors)
-
-
 def _joint_colors(g1: BaseGraph, g2: BaseGraph, colors1: Optional[Sequence[int]],
                   colors2: Optional[Sequence[int]]) -> np.ndarray:
     """Both graphs' colours over one index space (graph 1's vertices, then
     graph 2's), ranked to dense ints in their order, so any int fits."""
-    joint = _norm_colors(g1, colors1) + _norm_colors(g2, colors2)
+    joint = vertex_colors(g1, colors1) + vertex_colors(g2, colors2)
     rank = {c: i for i, c in enumerate(sorted(set(joint)))}
     return np.array([rank[c] for c in joint], dtype=np.int64)
 

@@ -55,6 +55,11 @@ class Gadget:
         return list(range(self.d)) * 2 + [self.d] * len(self.middles)
 
 
+def gadget_order(d: int) -> int:
+    """The vertex count of the degree-d gadget: 2d links and 2^(d-1) middles."""
+    return 2 * d + (1 << (d - 1))
+
+
 def build_gadget(d: int) -> Gadget:
     if d < 1:
         raise ValueError("gadget degree must be at least 1")

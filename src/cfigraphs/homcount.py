@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
-from .base_graph import BaseGraph, Edge
+from .base_graph import BaseGraph
 from .cfi import CfiGraph, Link, build_cfi, build_tilde
 from .errors import SizeGuardError
 
@@ -198,8 +198,7 @@ def gf2_count(system: Gf2System) -> Gf2Count:
     return Gf2Count(1 << free, free)
 
 
-def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
-                 twisted_edge: Optional[Edge] = None) -> Gf2System:
+def build_system(g_endo: Sequence[int], i: int, base: BaseGraph) -> Gf2System:
     """The linear system whose solutions are the fiber of g_endo under the
     projection, for the original (i=0) or once-twisted (i=1) CFI graph.
 
@@ -216,12 +215,7 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph,
     sub = subdivide2(base)
     if len(g_endo) != sub.graph.n or not is_homomorphism(sub.graph, sub.graph, g_endo):
         raise ValueError("g_endo is not an endomorphism of the subdivision")
-    if twisted_edge is None:
-        twisted_edge = base.edges[0]
-    twisted_edge = (min(twisted_edge), max(twisted_edge))
-    if not base.has_edge(*twisted_edge):
-        raise ValueError(f"twisted edge {twisted_edge} is not an edge of the base")
-    twisted = base.edges.index(twisted_edge) if i else -1
+    twisted = 0 if i else -1  # the index in base.edges of the edge build_tilde twists
     n, w_rank = base.n, sub.w_rank
 
     first = []  # each alpha's first variable

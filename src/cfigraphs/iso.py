@@ -14,15 +14,14 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Sequence
 
-from .base_graph import BaseGraph
+from .base_graph import BaseGraph, vertex_colors
 from .cfi import CfiGraph, gadget_flip_map, lift_base_automorphism
 from .errors import SizeGuardError
 
 ISO_SIZE_GUARD = 44
 
 
-def _signatures(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[tuple]:
-    col = colors if colors is not None else [0] * g.n
+def _signatures(g: BaseGraph, col: list[int]) -> list[tuple]:
     sigs = []
     for v in range(g.n):
         nbr = tuple(sorted((g.degree(u), col[u]) for u in g.adjacency[v]))
@@ -33,8 +32,8 @@ def _signatures(g: BaseGraph, colors: Optional[Sequence[int]]) -> list[tuple]:
 def _search(
     g1: BaseGraph,
     g2: BaseGraph,
-    colors1: Optional[Sequence[int]],
-    colors2: Optional[Sequence[int]],
+    colors1: list[int],
+    colors2: list[int],
     find_all: bool,
 ) -> list[tuple[int, ...]]:
     n = g1.n
@@ -109,11 +108,8 @@ def _search(
 def _verify(g1, g2, colors1, colors2, perm) -> None:
     if not g1.is_isomorphism(g2, perm):
         raise AssertionError("search returned a non-isomorphism")
-    if colors1 is not None or colors2 is not None:
-        c1 = colors1 if colors1 is not None else [0] * g1.n
-        c2 = colors2 if colors2 is not None else [0] * g2.n
-        if any(c1[v] != c2[perm[v]] for v in range(g1.n)):
-            raise AssertionError("search returned a color-breaking map")
+    if any(colors1[v] != colors2[perm[v]] for v in range(g1.n)):
+        raise AssertionError("search returned a color-breaking map")
 
 
 def find_isomorphism(
@@ -125,10 +121,11 @@ def find_isomorphism(
     """A verified isomorphism g1 -> g2, or None after exhausting the search."""
     if max(g1.n, g2.n) > ISO_SIZE_GUARD:
         raise SizeGuardError(f"isomorphism search guarded at {ISO_SIZE_GUARD} vertices")
-    res = _search(g1, g2, colors1, colors2, find_all=False)
+    col1, col2 = vertex_colors(g1, colors1), vertex_colors(g2, colors2)
+    res = _search(g1, g2, col1, col2, find_all=False)
     if not res:
         return None
-    _verify(g1, g2, colors1, colors2, res[0])
+    _verify(g1, g2, col1, col2, res[0])
     return res[0]
 
 
@@ -136,7 +133,8 @@ def automorphisms(g: BaseGraph, colors: Optional[Sequence[int]] = None) -> list[
     """All automorphisms, exhaustively enumerated."""
     if g.n > ISO_SIZE_GUARD:
         raise SizeGuardError(f"automorphism search guarded at {ISO_SIZE_GUARD} vertices")
-    return _search(g, g, colors, colors, find_all=True)
+    col = vertex_colors(g, colors)
+    return _search(g, g, col, col, find_all=True)
 
 
 # -- structure of CFI maps ----------------------------------------------------

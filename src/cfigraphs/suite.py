@@ -74,21 +74,17 @@ def check_colored_gadget_group(seed: int) -> dict:
 def check_twin_preserving_boundary(seed: int) -> dict:
     ok = True
     stats = {}
-    for d in (3, 5):
+    for d in (3, 5, 1, 2, 4):  # every automorphism preserves twins exactly at d = 3, 5
         gad = gadget.build_gadget(d)
         auts = iso.automorphisms(gad.graph)
         twins = sum(1 for a in auts if gadget.classify_map(gad, a).twin_preserving)
         stats[d] = {"total": len(auts), "twin_preserving": twins}
-        ok = ok and twins == len(auts)
-    for d in (1, 2, 4):
-        gad = gadget.build_gadget(d)
-        auts = iso.automorphisms(gad.graph)
-        twins = sum(1 for a in auts if gadget.classify_map(gad, a).twin_preserving)
-        stats[d] = {"total": len(auts), "twin_preserving": twins}
-        ok = ok and twins < len(auts)
-        sample = gadget.sample_nontwin_automorphism(d)
-        cls = gadget.classify_map(gad, sample)  # raises unless an automorphism
-        ok = ok and not cls.twin_preserving
+        if d in (3, 5):
+            ok = ok and twins == len(auts)
+        else:
+            sample = gadget.sample_nontwin_automorphism(d)
+            cls = gadget.classify_map(gad, sample)  # raises unless an automorphism
+            ok = ok and twins < len(auts) and not cls.twin_preserving
     return {"passed": ok, "stats": stats}
 
 

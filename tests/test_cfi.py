@@ -226,6 +226,13 @@ def test_gadget_flip_map_is_isomorphism_onto_image():
     assert iso.find_isomorphism(c.graph, relabeled) is not None
 
 
+def test_gadget_flip_map_rejects_keys_off_the_base():
+    c = cfi.build_cfi(bg.complete(4))
+    for u in (-1, 4):  # -1 would index the last gadget from the end
+        with pytest.raises(ValueError, match="not a base vertex"):
+            cfi.gadget_flip_map(c, {u: frozenset({0, 1})})
+
+
 def test_lift_base_automorphism():
     base = bg.cycle(4)
     c = cfi.build_cfi(base)

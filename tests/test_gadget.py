@@ -23,7 +23,7 @@ def test_build_shapes():
 def test_vertex_count_formula():
     for d in range(1, 9):
         g = gd.build_gadget(d)
-        assert g.graph.n == 2 * d + 2 ** (d - 1)
+        assert g.graph.n == 2 * d + 2 ** (d - 1) == gd.gadget_order(d)
         assert len(g.middles) == 2 ** (d - 1)
 
 

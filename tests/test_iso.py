@@ -71,6 +71,17 @@ def test_automorphism_counts_known_groups():
     assert len(iso.automorphisms(bg.disjoint_union(bg.cycle(3), bg.cycle(3)))) == 72
 
 
+def test_colour_lists_must_fit_the_graph():
+    c4 = bg.cycle(4)
+    for wrong in ([0], [0] * 5):  # too short, too long
+        with pytest.raises(ValueError, match="colors length"):
+            iso.find_isomorphism(c4, c4, wrong, [0] * 4)
+        with pytest.raises(ValueError, match="colors length"):
+            iso.find_isomorphism(c4, c4, [0] * 4, wrong)
+        with pytest.raises(ValueError, match="colors length"):
+            iso.automorphisms(c4, wrong)
+
+
 def test_size_guard():
     big = cfi.build_cfi(bg.petersen()).graph
     with pytest.raises(SizeGuardError):
