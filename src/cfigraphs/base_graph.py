@@ -349,6 +349,14 @@ def _check_input_size(n: int) -> int:
     return n
 
 
+def _input_graph(n: int, edges: Iterable[Edge]) -> BaseGraph:
+    """``BaseGraph.from_edges`` for a reader: a rejected graph is bad input."""
+    try:
+        return BaseGraph.from_edges(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(f"bad graph data: {exc}") from exc
+
+
 def _read_json(data: bytes) -> tuple[BaseGraph, dict]:
     try:
         doc = json.loads(data.decode())
@@ -362,11 +370,7 @@ def _read_json(data: bytes) -> tuple[BaseGraph, dict]:
             type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int
             for e in edges):
         raise GraphFormatError('bad graph data: "n" must be an integer and "edges" a list of integer pairs')
-    _check_input_size(n)
-    try:
-        g = BaseGraph.from_edges(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(f"bad graph data: {exc}") from exc
+    g = _input_graph(_check_input_size(n), edges)
     meta = {}
     for key, kind in (("colors", int), ("names", str)):
         if key in doc:
@@ -413,7 +417,7 @@ def _read_dimacs(data: bytes) -> tuple[BaseGraph, dict]:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing 'p edge' line")
-    return BaseGraph.from_edges(n, edges), {}
+    return _input_graph(n, edges), {}
 
 
 def disjoint_union(g: BaseGraph, h: BaseGraph) -> BaseGraph:

@@ -308,27 +308,23 @@ def _perfect_matching(rows: list[int], match_x: Sequence[int]) -> Optional[list[
             match_x[x] = -1
             broken.append(x)
 
-    def augment(x: int, visited: int) -> tuple[bool, int]:
+    def augment(x: int) -> bool:
+        nonlocal visited
         avail = rows[x] & ~visited
         while avail:
             y = (avail & -avail).bit_length() - 1
             avail &= avail - 1
             visited |= 1 << y
-            if match_y[y] < 0:
+            if match_y[y] < 0 or augment(match_y[y]):
                 match_y[y] = x
                 match_x[x] = y
-                return True, visited
-            ok, visited = augment(match_y[y], visited)
-            if ok:
-                match_y[y] = x
-                match_x[x] = y
-                return True, visited
+                return True
             avail &= ~visited
-        return False, visited
+        return False
 
     for x in broken:
-        ok, _ = augment(x, 0)
-        if not ok:
+        visited = 0  # columns this row's augmenting search has reached
+        if not augment(x):
             return None
     return match_x
 
@@ -383,8 +379,8 @@ def _matchable(block: np.ndarray, exact: bool) -> np.ndarray:
 
 
 def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
-    """The greatest fixpoint alive[p0, p1, q0, q1] of the bijective 3-pebble
-    game over two-pebble positions (p0 -> q0, p1 -> q1); see ``_ck_game_3``."""
+    """The bijective 3-pebble game's greatest fixpoint over two-pebble positions
+    (p0 -> q0, p1 -> q1): bit q1 of rows[p0, p1, q0] is set iff it lives; see ``_ck_game_3``."""
     n = g1.n
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
     colmatch = np.asarray(c1)[:, None] == np.asarray(c2)[None, :]
@@ -406,7 +402,7 @@ def _ck_alive_3(g1, g2, c1, c2) -> np.ndarray:
             p0, p1, q0, q1 = np.unravel_index(pos[i:i + 4096], alive.shape)
             ok[i:i + 4096] = _matchable(rows[p0, :, q0] & rows[p1, :, q1], exact)
         if exact and ok.all():
-            return (rows[..., None] & bits) != 0
+            return rows
         exact = ok.all()
         p0, p1, q0, q1 = np.unravel_index(pos[~ok], alive.shape)
         np.bitwise_and.at(rows, (np.r_[p0, p1], np.r_[p1, p0], np.r_[q0, q1]), ~bits[np.r_[q1, q0]])
@@ -429,8 +425,9 @@ def _ck_game_3(g1, g2, c1, c2) -> bool:
     fixpoint.  Like every game solver here, it reads only the graphs and
     colours, never refinement classes."""
     n = g1.n
-    alive = _ck_alive_3(g1, g2, c1, c2)
-    start = [int(sum(1 << y for y in range(n) if alive[x, x, y, y])) for x in range(n)]
+    rows = _ck_alive_3(g1, g2, c1, c2)
+    # rows[x, x, y] holds at most bit y, the position (x -> y, x -> y)
+    start = np.bitwise_or.reduce(rows[range(n), range(n)], axis=1).tolist()
     return _perfect_matching(start, [-1] * n) is not None
 
 

@@ -122,13 +122,12 @@ def check_same_color(base: BaseGraph) -> bool:
     if base.min_degree() < 3:
         raise ValueError("same-color recovery needs minimum base degree 3")
     for build in (build_cfi, build_tilde):
-        uncolored = build(base, False)
-        table = build_predicate_table(uncolored.graph)
-        colors = build(base, True).colors
+        c = build(base, True)  # the table reads only the graph, which the colours leave unchanged
+        table = build_predicate_table(c.graph)
         class_of: dict[int, int] = {}
-        for x, color in enumerate(colors):
+        for x, color in enumerate(c.colors):
             class_of[color] = class_of.get(color, 0) | 1 << x
-        if any(table.same_color[x] != class_of[color] for x, color in enumerate(colors)):
+        if any(table.same_color[x] != class_of[color] for x, color in enumerate(c.colors)):
             return False
     return True
 

@@ -28,7 +28,7 @@ VertexPerm = tuple[int, ...]
 @lru_cache(maxsize=None)
 def even_masks(d: int) -> tuple[int, ...]:
     """All d-bit masks of even popcount, ascending."""
-    return tuple(m for m in range(1 << d) if bin(m).count("1") % 2 == 0)
+    return tuple(m for m in range(1 << d) if m.bit_count() % 2 == 0)
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,9 @@ class Gadget:
 
     def middle_vertex(self, mask: int) -> int:
         # the even masks ascending take one of each pair {2k, 2k+1}, so rank = mask >> 1
-        if not 0 <= mask < 1 << self.d or bin(mask).count("1") % 2 != 0:
+        if not 0 <= mask < 1 << self.d or mask.bit_count() % 2 != 0:
             raise ValueError(f"{mask} is not an even {self.d}-bit mask")
         return 2 * self.d + (mask >> 1)
-
-    def mask_of(self, vertex: int) -> int:
-        if vertex < 2 * self.d:
-            raise ValueError(f"vertex {vertex} is a link vertex")
-        return self.middles[vertex - 2 * self.d]
 
     def colors(self) -> list[int]:
         """Coloring of the colored variant: twin pairs share a color, middles share one."""
@@ -83,21 +78,14 @@ def twin(d: int, x: int) -> int:
     raise ValueError(f"vertex {x} is a middle vertex")
 
 
-def apply_flip(gadget: Gadget, mask: int, x: int) -> int:
-    """Image of vertex x under the flip automorphism of the given even mask."""
-    d = gadget.d
-    if bin(mask).count("1") % 2 != 0:
-        raise ValueError("flip masks must have even popcount")
-    if x < d:
-        return x + d if (mask >> x) & 1 else x
-    if x < 2 * d:
-        i = x - d
-        return i if (mask >> i) & 1 else x
-    return gadget.middle_vertex(gadget.mask_of(x) ^ mask)
-
-
 def flip_perm(gadget: Gadget, mask: int) -> VertexPerm:
-    return tuple(apply_flip(gadget, mask, x) for x in range(gadget.graph.n))
+    """The flip automorphism of the given even mask, as a vertex permutation."""
+    d = gadget.d
+    if mask.bit_count() % 2 != 0:
+        raise ValueError("flip masks must have even popcount")
+    links = [x + d if (mask >> x) & 1 else x for x in range(d)]
+    return tuple(links + [twin(d, y) for y in links]
+                 + [gadget.middle_vertex(m ^ mask) for m in gadget.middles])
 
 
 def lift_permutation(gadget: Gadget, pi: tuple[int, ...]) -> VertexPerm:
@@ -162,7 +150,7 @@ def decompose_twin_preserving(gadget: Gadget, perm: VertexPerm) -> tuple[int, tu
     for i in range(d):
         if perm[i] >= d:
             mask |= 1 << pi[i]
-    if bin(mask).count("1") % 2 != 0:
+    if mask.bit_count() % 2 != 0:
         raise ValueError("decomposition produced an odd mask; map was not an automorphism")
     recomposed = compose(flip_perm(gadget, mask), lift_permutation(gadget, pi))
     if recomposed != perm:

@@ -68,27 +68,24 @@ def _hom_search(f: BaseGraph, h: BaseGraph, domains: Optional[Sequence[int]],
     the images of its already placed neighbours, tried in ascending order."""
     if f.n > HOM_PATTERN_GUARD:
         raise SizeGuardError(f"pattern graphs guarded at {HOM_PATTERN_GUARD} vertices")
-    order = []
-    placed = [False] * f.n
+    order = []  # BFS from each lowest unplaced vertex; order[i:] is the queue
+    position = {}  # each placed vertex's index in order
+    i = 0
     for start in range(f.n):
-        if placed[start]:
+        if start in position:
             continue
-        placed[start] = True
-        comp = [start]
+        position[start] = len(order)
         order.append(start)
-        i = 0
-        while i < len(comp):
-            for w in f.sorted_adjacency[comp[i]]:
-                if not placed[w]:
-                    placed[w] = True
-                    comp.append(w)
+        while i < len(order):
+            for w in f.sorted_adjacency[order[i]]:
+                if w not in position:
+                    position[w] = len(order)
                     order.append(w)
             i += 1
 
     adj_h = h.adjacency_bits
     full = (1 << h.n) - 1
     dom = [full] * f.n if domains is None else domains
-    position = {v: idx for idx, v in enumerate(order)}
     anchors = [[u for u in f.sorted_adjacency[v] if position[u] < idx]
                for idx, v in enumerate(order)]
     last = f.n - 1
@@ -215,6 +212,8 @@ def build_system(g_endo: Sequence[int], i: int, base: BaseGraph) -> Gf2System:
     sub = subdivide2(base)
     if len(g_endo) != sub.graph.n or not is_homomorphism(sub.graph, sub.graph, g_endo):
         raise ValueError("g_endo is not an endomorphism of the subdivision")
+    if i and not base.edges:
+        raise ValueError("a base with no edges has no twisted edge")
     twisted = 0 if i else -1  # the index in base.edges of the edge build_tilde twists
     n, w_rank = base.n, sub.w_rank
 

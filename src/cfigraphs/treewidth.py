@@ -69,11 +69,11 @@ def _fill_neighbors(adjbits: tuple[int, ...], eliminated: int, v: int) -> int:
     return out
 
 
-def _eliminate_within(n: int, adjbits: tuple[int, ...], width: int) -> list[int] | None:
-    """An elimination order keeping every fill degree <= width, or None."""
+def _eliminate_within(n: int, adjbits: tuple[int, ...], width: int) -> list[tuple[int, int]] | None:
+    """An elimination order as (vertex, fill bitmask) pairs, every fill degree <= width, or None."""
     full = (1 << n) - 1
     failed: set[int] = set()
-    order: list[int] = []
+    order: list[tuple[int, int]] = []
 
     def search(eliminated: int) -> bool:
         if eliminated == full:
@@ -83,8 +83,9 @@ def _eliminate_within(n: int, adjbits: tuple[int, ...], width: int) -> list[int]
         for v in range(n):
             if (eliminated >> v) & 1:
                 continue
-            if bin(_fill_neighbors(adjbits, eliminated, v)).count("1") <= width:
-                order.append(v)
+            fill = _fill_neighbors(adjbits, eliminated, v)
+            if fill.bit_count() <= width:
+                order.append((v, fill))
                 if search(eliminated | (1 << v)):
                     return True
                 order.pop()
@@ -94,29 +95,17 @@ def _eliminate_within(n: int, adjbits: tuple[int, ...], width: int) -> list[int]
     return order if search(0) else None
 
 
-def _decomposition_from_order(g: BaseGraph, order: list[int]) -> TreeDecomposition:
-    n = g.n
-    pos = {v: i for i, v in enumerate(order)}
+def _decomposition_from_order(order: list[tuple[int, int]]) -> TreeDecomposition:
+    """Bag i: the i-th eliminated vertex and its fill, under the bag of the fill vertex eliminated first."""
+    pos = {v: i for i, (v, _) in enumerate(order)}
     bags = []
-    eliminated = 0
-    fills = []
-    for v in order:
-        fill = _fill_neighbors(g.adjacency_bits, eliminated, v)
-        fills.append(fill)
-        bag = {v}
-        m = fill
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            bag.add(w)
-        bags.append(frozenset(bag))
-        eliminated |= 1 << v
     edges = []
     roots = []  # empty-fill bags: last vertex of each component, always singletons
-    for i in range(n):
-        if fills[i]:
-            j = min(pos[w] for w in range(n) if (fills[i] >> w) & 1)
-            edges.append((i, j))
+    for i, (v, fill) in enumerate(order):
+        later = [w for w in pos if (fill >> w) & 1]
+        bags.append(frozenset([v, *later]))
+        if later:
+            edges.append((i, min(pos[w] for w in later)))
         else:
             roots.append(i)
     edges.extend(zip(roots, roots[1:]))  # chain component roots into one tree
@@ -130,7 +119,7 @@ def treewidth_exact(g: BaseGraph) -> tuple[int, TreeDecomposition]:
     for width in range(g.n):
         order = _eliminate_within(g.n, g.adjacency_bits, width)
         if order is not None:
-            td = _decomposition_from_order(g, order)
+            td = _decomposition_from_order(order)
             validate_tree_decomposition(g, td)
             if td.width > width:
                 raise AssertionError("witness decomposition wider than claimed")

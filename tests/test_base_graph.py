@@ -128,6 +128,16 @@ def test_json_accepts_only_json_integers_and_strings(doc):
         bg.read_graph(doc, "json")
 
 
+@pytest.mark.parametrize("data, fmt", [
+    (b'{"n": 0, "edges": []}', "json"),
+    (b"p edge 0 0\n", "dimacs"),
+    (b"p edge -2 0\n", "dimacs"),
+])
+def test_readers_report_a_vertex_count_below_one_as_bad_graph_data(data, fmt):
+    with pytest.raises(GraphFormatError, match="bad graph data: graph must have at least one vertex"):
+        bg.read_graph(data, fmt)
+
+
 def test_dimacs():
     text = b"c comment\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
     g, _ = bg.read_graph(text, "dimacs")

@@ -749,12 +749,18 @@ def tiny_colored_pairs(draw):
     return one(), one()
 
 
+def ck_alive_3(g1, g2, c1, c2):
+    """``eqv._ck_alive_3``'s row masks expanded to alive[p0, p1, q0, q1]."""
+    rows = eqv._ck_alive_3(g1, g2, c1, c2)
+    return (rows[..., None] >> np.arange(g2.n, dtype=np.uint64) & np.uint64(1)) != 0
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(tiny_colored_pairs())
 def test_game_fixpoint_matches_bijection_search(pair):
     (g1, c1), (g2, c2) = pair
     want = naive_ck_alive_3(g1, g2, c1, c2)
-    alive = eqv._ck_alive_3(g1, g2, c1, c2)
+    alive = ck_alive_3(g1, g2, c1, c2)
     assert np.array_equal(alive, want)
     assert np.array_equal(alive, alive.transpose(1, 0, 3, 2))
     assert eqv.ck_equivalent_game(g1, g2, 2, c1, c2) == naive_ck_game_2(g1, g2, c1, c2)
@@ -766,7 +772,7 @@ def test_game_fixpoint_needs_exact_rounds():
     # row is empty and no column uncovered, yet no bijection keeps colours, so
     # exact rounds must kill every position
     g = bg.BaseGraph.from_edges(7, [])
-    alive = eqv._ck_alive_3(g, g, [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1])
+    alive = ck_alive_3(g, g, [0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 1])
     assert not alive.any()
 
 
@@ -807,7 +813,7 @@ def test_golden_game_fixpoint():
         g1, g2, c1, c2 = _relabelled_twist(bases[name], colored, other == "tilde")
         if c1 is None:
             c1 = c2 = [0] * g1.n
-        alive = eqv._ck_alive_3(g1, g2, c1, c2)
+        alive = ck_alive_3(g1, g2, c1, c2)
         got = (int(alive.sum()), hashlib.sha256(np.packbits(alive)).hexdigest())
         assert got == want, (name, colored, other)
         assert np.array_equal(alive, alive.transpose(1, 0, 3, 2)), (name, colored, other)

@@ -40,11 +40,11 @@ def test_flip_examples():
     g = gd.build_gadget(3)
     m12 = 0b011
     # flipping over {0,1} swaps those twin pairs and shifts middles
-    assert gd.apply_flip(g, m12, 0) == 3
-    assert gd.apply_flip(g, m12, g.middle_vertex(0b101)) == g.middle_vertex(0b110)
-    assert gd.apply_flip(g, 0, 5) == 5  # empty flip is the identity
+    assert gd.flip_perm(g, m12)[0] == 3
+    assert gd.flip_perm(g, m12)[g.middle_vertex(0b101)] == g.middle_vertex(0b110)
+    assert gd.flip_perm(g, 0)[5] == 5  # empty flip is the identity
     with pytest.raises(ValueError):
-        gd.apply_flip(g, 0b001, 0)  # odd mask
+        gd.flip_perm(g, 0b001)  # odd mask
     for mask in (0b001, 0b111, -2, 0b1010):  # odd, odd, negative, out of range
         with pytest.raises(ValueError):
             g.middle_vertex(mask)
@@ -65,7 +65,7 @@ def test_flip_is_self_inverse_automorphism(d, rnd):
 def test_flip_between_middles():
     # the flip by m1 ^ m2 sends middle m1 to middle m2
     g = gd.build_gadget(3)
-    assert gd.apply_flip(g, 0b011 ^ 0b101, g.middle_vertex(0b011)) == g.middle_vertex(0b101)
+    assert gd.flip_perm(g, 0b011 ^ 0b101)[g.middle_vertex(0b011)] == g.middle_vertex(0b101)
 
 
 def test_lift_permutation():

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -90,6 +91,25 @@ def test_build_system_rejects_negative_images():
     assert hc.is_homomorphism(sub.graph, sub.graph, (3, 2, 2, 3))
     with pytest.raises(ValueError, match="not an endomorphism"):
         hc.build_system((-1, 2, 2, 3), 0, base)
+
+
+def test_build_system_refuses_a_twist_without_edges():
+    # no base edge to twist, so no twisted CFI graph (build_tilde refuses it too)
+    base = bg.BaseGraph.from_edges(1, [])
+    assert hc.build_system((0,), 0, base) == hc.Gf2System(0, (0,))
+    with pytest.raises(ValueError, match="no twisted edge"):
+        hc.build_system((0,), 1, base)
+
+
+def test_enumeration_order_is_pinned():
+    # every endomorphism of P2's 2-subdivision, in the documented order; the
+    # digest is sha256 of the list's repr, computed before the BFS order
+    # became its own queue
+    sub = hc.subdivide2(bg.path(2))
+    homs = hc.enumerate_homomorphisms(sub.graph, sub.graph)
+    assert len(homs) == 252
+    assert hashlib.sha256(repr(homs).encode()).hexdigest() == (
+        "c6f94fadd0c4841a08119a4a91b3e2d4ead17a2a628384b2210bf86dacc9921d")
 
 
 def test_gf2_count_basics():

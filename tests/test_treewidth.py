@@ -27,6 +27,35 @@ def test_known_widths():
         assert td.width == want
 
 
+# name -> (width, each bag sorted, tree edges) of treewidth_exact, computed
+# before the witness took its fills from the elimination search
+GOLDEN_DECOMPOSITIONS = {
+    "P3": (1, ((0, 1), (1, 2), (2, 3), (3,)), ((0, 1), (1, 2), (2, 3))),
+    "C5": (2, ((0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 4), (4,)), ((0, 1), (1, 2), (2, 3), (3, 4))),
+    "K4": (3, ((0, 1, 2, 3), (1, 2, 3), (2, 3), (3,)), ((0, 1), (1, 2), (2, 3))),
+    "K3,3": (3, ((0, 3, 4, 5), (1, 3, 4, 5), (2, 3, 4, 5), (3, 4, 5), (4, 5), (5,)),
+             ((0, 3), (1, 3), (2, 3), (3, 4), (4, 5))),
+    "grid2x3": (2, ((0, 1, 3), (1, 2, 5), (1, 3, 4), (1, 4, 5), (4, 5), (5,)),
+                ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5))),
+    "grid3x4": (3, ((0, 1, 4), (1, 2, 4, 5), (2, 3, 7), (2, 4, 5, 8), (2, 6, 7, 11), (2, 5, 8, 9),
+                    (2, 5, 6, 9), (2, 6, 9, 11), (6, 9, 10, 11), (9, 10, 11), (10, 11), (11,)),
+                ((0, 1), (1, 3), (2, 4), (3, 5), (4, 7), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+                 (10, 11))),
+    "Petersen": (4, ((0, 1, 4, 5), (1, 2, 4, 5, 6), (2, 3, 4, 8), (2, 5, 7, 9), (2, 4, 5, 6, 8),
+                     (2, 4, 5, 6, 9), (4, 5, 6, 9), (5, 6, 9), (6, 9), (9,)),
+                 ((0, 1), (1, 5), (2, 4), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9))),
+}
+
+
+def test_golden_decompositions():
+    graphs = {"P3": bg.path(3), "C5": bg.cycle(5), "K4": bg.complete(4),
+              "K3,3": bg.complete_bipartite(3, 3), "grid2x3": bg.grid(2, 3),
+              "grid3x4": bg.grid(3, 4), "Petersen": bg.petersen()}
+    for name, want in GOLDEN_DECOMPOSITIONS.items():
+        width, td = tw.treewidth_exact(graphs[name])
+        assert (width, tuple(tuple(sorted(b)) for b in td.bags), td.tree_edges) == want, name
+
+
 def test_every_tree_has_width_one():
     for g in (bg.path(5), bg.complete_bipartite(1, 4)):
         assert tw.treewidth_exact(g)[0] == 1
